@@ -25,9 +25,7 @@
 //! JSONL by default, or the CRC-framed binary encoding with
 //! `--trace-format bin`. See `dirca_experiments::tracegrid` for the
 //! document layouts and the `trace_view` binary for folding either format
-//! into per-node timelines. `--checkpoint-format {jsonl,bin}` selects the
-//! checkpoint encoding the same way (resume auto-detects the existing
-//! file's format).
+//! into per-node timelines. Checkpoints are always CRC-framed binary.
 //!
 //! Exit status: 0 on a clean complete grid, 1 if any cell failed, 2 on a
 //! usage error, 3 if `--max-cells` stopped the run early.
@@ -60,8 +58,7 @@ fn main() {
         #[cfg(feature = "trace")]
         {
             use dirca_experiments::wireio::WireFormat;
-            let format =
-                WireFormat::try_from_flags(&flags, "trace-format").unwrap_or_else(|e| e.exit());
+            let format = WireFormat::try_from_flags(&flags).unwrap_or_else(|e| e.exit());
             eprintln!("exporting structured {format} trace to {path}");
             match format {
                 WireFormat::Jsonl => dirca_experiments::tracegrid::export_grid_trace(&scale, path),

@@ -1,21 +1,22 @@
-//! Fault-tolerant grid runner: per-cell isolation, JSONL checkpointing,
-//! and resume.
+//! Fault-tolerant grid runner: per-cell isolation, checkpointing, and
+//! resume.
 //!
 //! The Figs. 6/7 grid is hours of CPU at paper scale; one panicking cell
 //! or a runaway simulation must not throw the rest away. This module runs
 //! each (N, θ, scheme) cell through [`try_run_cell`] — panics are caught
 //! per topology, an optional [`Watchdog`] bounds runaway simulations — and
-//! appends each cell's outcome to a checkpoint file as one JSON line.
+//! appends each cell's outcome to a checkpoint file as one frame.
 //! `--resume` replays the checkpoint, re-runs only missing or failed
 //! cells, and produces a final report identical to an uninterrupted run
 //! (per-cell results are deterministic, so order of completion is
 //! irrelevant).
 //!
-//! The checkpoint format is a deliberately small JSON subset (objects,
-//! arrays, strings, numbers, `null`) written and parsed by hand — no
-//! serialization dependency, and strict typed errors instead of silent
-//! tolerance. Floats round-trip exactly through Rust's shortest-
-//! representation `Display`.
+//! The checkpoint is CRC-framed binary ([`dirca_trace::wire`]): one
+//! `CKPT_HEADER` frame carrying the grid fingerprint, then one `CKPT_CELL`
+//! frame per finished cell ([`wireio::ckpt_cell_frame`]). Floats
+//! round-trip bit-exactly through their IEEE-754 patterns, and the
+//! per-frame CRCs tell a torn tail from a crash mid-write (salvaged with
+//! a warning) apart from corruption before the tail (a hard error).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,12 +26,12 @@ use std::path::{Path, PathBuf};
 
 use dirca_mac::Scheme;
 use dirca_net::Watchdog;
-use dirca_sim::AbortReason;
+use dirca_trace::wire::{self, kind, WireError};
 
 use crate::cli::{Flags, UsageError};
 use crate::report::GridScale;
 use crate::ringsim::{try_run_cell, CellFailure, CellGuards, TopologySample};
-use crate::wireio::{self, WireFormat};
+use crate::wireio;
 
 /// One grid coordinate: density × beamwidth × scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,10 +138,6 @@ pub struct RunnerConfig {
     pub watchdog: Option<Watchdog>,
     /// Checkpoint file to write (and resume from).
     pub checkpoint: Option<PathBuf>,
-    /// Encoding for a freshly created checkpoint. On resume the existing
-    /// file's format wins (sniffed from its leading bytes), so appended
-    /// records always match what is already there.
-    pub checkpoint_format: WireFormat,
     /// Re-use completed cells from the checkpoint instead of starting
     /// over.
     pub resume: bool,
@@ -164,7 +161,6 @@ impl Default for RunnerConfig {
             retries: 1,
             watchdog: None,
             checkpoint: None,
-            checkpoint_format: WireFormat::Jsonl,
             resume: false,
             max_cells: None,
             inject_panic: None,
@@ -176,9 +172,8 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// Builds the runner policy from flags: `--threads`, `--retries`,
-    /// `--events-budget`, `--checkpoint PATH`,
-    /// `--checkpoint-format {jsonl,bin}`, `--resume`, `--max-cells`, and
-    /// the drill switches `--inject-panic n,theta,scheme` /
+    /// `--events-budget`, `--checkpoint PATH`, `--resume`, `--max-cells`,
+    /// and the drill switches `--inject-panic n,theta,scheme` /
     /// `--inject-timeout n,theta,scheme`.
     pub fn try_from_flags(flags: &Flags) -> Result<Self, UsageError> {
         let parse_cell = |flag: &str| -> Result<Option<Cell>, UsageError> {
@@ -200,7 +195,6 @@ impl RunnerConfig {
             retries: u32::try_from(flags.try_get_usize("retries", 1)?).unwrap_or(u32::MAX),
             watchdog: (events_budget > 0).then(|| Watchdog::max_events(events_budget)),
             checkpoint: flags.get("checkpoint").map(PathBuf::from),
-            checkpoint_format: WireFormat::try_from_flags(flags, "checkpoint-format")?,
             resume: flags.has("resume"),
             max_cells: match flags.try_get_usize("max-cells", 0)? {
                 0 => None,
@@ -277,7 +271,9 @@ pub enum CheckpointError {
         /// What failed.
         what: String,
     },
-    /// The first line is not a valid checkpoint header.
+    /// The file does not start with a valid checkpoint header frame (an
+    /// empty file, a foreign file, or a JSONL checkpoint from an older
+    /// release).
     MissingHeader,
     /// The checkpoint was taken for a different grid configuration.
     FingerprintMismatch {
@@ -286,23 +282,18 @@ pub enum CheckpointError {
         /// Fingerprint recorded in the file.
         found: String,
     },
-    /// A line is not valid checkpoint JSON.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What the parser choked on.
-        what: String,
-    },
-    /// A line parsed as JSON but is not a valid record.
+    /// A frame is not a valid cell record: an intact frame of the wrong
+    /// kind or with an undecodable payload, or a corrupt frame that is
+    /// not the last one (and so cannot be a torn tail).
     BadRecord {
-        /// 1-based line number.
+        /// 1-based frame index (the header is frame 1).
         line: usize,
         /// Which field or value is wrong.
         what: String,
     },
     /// A record names a cell outside the requested grid.
     UnknownCell {
-        /// 1-based line number.
+        /// 1-based frame index (the header is frame 1).
         line: usize,
         /// The offending cell, rendered.
         cell: String,
@@ -315,21 +306,23 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io { path, what } => {
                 write!(f, "checkpoint {path}: {what}")
             }
-            CheckpointError::MissingHeader => {
-                write!(f, "checkpoint: missing or malformed header line")
-            }
+            CheckpointError::MissingHeader => write!(
+                f,
+                "checkpoint: missing or malformed header frame \
+                 (not a binary checkpoint; rerun without --resume to start over)"
+            ),
             CheckpointError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different grid (fingerprint {found}, expected {expected})"
             ),
-            CheckpointError::Syntax { line, what } => {
-                write!(f, "checkpoint line {line}: syntax error: {what}")
-            }
             CheckpointError::BadRecord { line, what } => {
-                write!(f, "checkpoint line {line}: bad record: {what}")
+                write!(f, "checkpoint frame {line}: bad record: {what}")
             }
             CheckpointError::UnknownCell { line, cell } => {
-                write!(f, "checkpoint line {line}: cell {cell} is not in this grid")
+                write!(
+                    f,
+                    "checkpoint frame {line}: cell {cell} is not in this grid"
+                )
             }
         }
     }
@@ -337,370 +330,10 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-// ---------------------------------------------------------------------
-// Minimal JSON subset: null, numbers, strings, arrays, objects.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_usize(&self) -> Option<usize> {
-        let v = self.as_f64()?;
-        if !(0.0..=usize::MAX as f64).contains(&v) {
-            return None;
-        }
-        // Exact integrality check without a float comparison: the cast
-        // truncates, so the round trip is bit-identical iff `v` already
-        // was that integer.
-        let n = v as usize;
-        ((n as f64).to_bits() == v.to_bits()).then_some(n)
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {}",
-                char::from(b),
-                self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at offset {}", self.pos))
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unmodified).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Record rendering and parsing.
-// ---------------------------------------------------------------------
-
-fn header_line(fingerprint: &str) -> String {
-    format!("{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fingerprint}\"}}")
-}
-
-fn opt_num(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v}"),
-        None => "null".into(),
-    }
-}
-
-fn record_line(cell: &Cell, result: &Result<Vec<TopologySample>, CellFailure>) -> String {
-    let head = format!(
-        "{{\"n\":{},\"theta\":{},\"scheme\":\"{}\"",
-        cell.n, cell.theta, cell.scheme
-    );
-    match result {
-        Ok(samples) => {
-            let body: Vec<String> = samples
-                .iter()
-                .map(|s| {
-                    format!(
-                        "[{},{},{},{}]",
-                        s.throughput,
-                        opt_num(s.delay_ms),
-                        opt_num(s.collision_ratio),
-                        opt_num(s.jain)
-                    )
-                })
-                .collect();
-            format!(
-                "{head},\"status\":\"ok\",\"samples\":[{}]}}",
-                body.join(",")
-            )
-        }
-        Err(CellFailure::Panicked { topology, message }) => format!(
-            "{head},\"status\":\"panicked\",\"topology\":{topology},\"message\":\"{}\"}}",
-            escape_json(message)
-        ),
-        Err(CellFailure::TimedOut { topology, aborted }) => {
-            let reason = match aborted.reason {
-                AbortReason::MaxEvents => "max_events",
-                AbortReason::MaxSimTime => "max_sim_time",
-            };
-            format!(
-                "{head},\"status\":\"timed_out\",\"topology\":{topology},\"reason\":\"{reason}\",\"events\":{},\"at_ns\":{}}}",
-                aborted.events,
-                aborted.now.as_nanos()
-            )
-        }
-    }
-}
-
 fn bad(line: usize, what: impl Into<String>) -> CheckpointError {
     CheckpointError::BadRecord {
         line,
         what: what.into(),
-    }
-}
-
-fn parse_record(
-    line_no: usize,
-    json: &Json,
-) -> Result<(Cell, Option<Vec<TopologySample>>), CheckpointError> {
-    let n = json
-        .get("n")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad(line_no, "missing or non-integer 'n'"))?;
-    let theta = json
-        .get("theta")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad(line_no, "missing or non-numeric 'theta'"))?;
-    let scheme: Scheme = json
-        .get("scheme")
-        .and_then(Json::as_str)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad(line_no, "missing or unknown 'scheme'"))?;
-    let cell = Cell { n, theta, scheme };
-    let status = json
-        .get("status")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad(line_no, "missing 'status'"))?;
-    match status {
-        "ok" => {
-            let raw = match json.get("samples") {
-                Some(Json::Arr(items)) => items,
-                _ => return Err(bad(line_no, "'ok' record without 'samples' array")),
-            };
-            let mut samples = Vec::with_capacity(raw.len());
-            for item in raw {
-                let tuple = match item {
-                    Json::Arr(vs) if vs.len() == 4 => vs,
-                    _ => return Err(bad(line_no, "sample is not a 4-element array")),
-                };
-                let opt = |j: &Json| -> Result<Option<f64>, CheckpointError> {
-                    match j {
-                        Json::Null => Ok(None),
-                        Json::Num(v) => Ok(Some(*v)),
-                        _ => Err(bad(line_no, "sample field is neither number nor null")),
-                    }
-                };
-                samples.push(TopologySample {
-                    throughput: tuple[0]
-                        .as_f64()
-                        .ok_or_else(|| bad(line_no, "non-numeric throughput"))?,
-                    delay_ms: opt(&tuple[1])?,
-                    collision_ratio: opt(&tuple[2])?,
-                    jain: opt(&tuple[3])?,
-                });
-            }
-            Ok((cell, Some(samples)))
-        }
-        // Failed cells are recorded for diagnosis but never restored: the
-        // resume pass re-runs them.
-        "panicked" | "timed_out" => Ok((cell, None)),
-        other => Err(bad(line_no, format!("unknown status {other:?}"))),
     }
 }
 
@@ -715,12 +348,11 @@ fn io_err(path: &Path, e: std::io::Error) -> CheckpointError {
 /// any non-fatal degradations encountered along the way.
 type Restored = (BTreeMap<CellKey, Vec<TopologySample>>, Vec<String>);
 
-/// Replays a checkpoint from its raw bytes, dispatching on the sniffed
-/// format: validates the header fingerprint and returns the completed
-/// cells' samples (later records for the same cell win, so a retried cell
-/// restores its newest outcome).
+/// Replays a checkpoint from its raw bytes: validates the header
+/// fingerprint and returns the completed cells' samples (later records
+/// for the same cell win, so a retried cell restores its newest outcome).
 ///
-/// Crash tolerance: a torn or corrupt *trailing* record — the signature
+/// Crash tolerance: a torn or corrupt *trailing* frame — the signature
 /// of a crash mid-write — is skipped with a warning and its cell re-run,
 /// instead of failing the whole resume. Corruption anywhere *before* the
 /// tail still hard-errors: that is not a torn write, and silently
@@ -730,107 +362,7 @@ fn load_checkpoint(
     fingerprint: &str,
     grid: &[Cell],
 ) -> Result<Restored, CheckpointError> {
-    if wireio::sniff_binary(bytes) {
-        load_checkpoint_bin(bytes, fingerprint, grid)
-    } else {
-        load_checkpoint_jsonl(bytes, fingerprint, grid)
-    }
-}
-
-/// Applies one parsed record to the restore map (shared by both formats):
-/// `ok` records restore, recorded failures un-restore so the cell re-runs.
-fn apply_record(
-    done: &mut BTreeMap<CellKey, Vec<TopologySample>>,
-    cell: Cell,
-    samples: Option<Vec<TopologySample>>,
-) {
-    match samples {
-        Some(s) => {
-            done.insert(cell.key(), s);
-        }
-        None => {
-            // A newer failure supersedes an older success only if the
-            // cell was re-run and failed — keep the latest verdict.
-            done.remove(&cell.key());
-        }
-    }
-}
-
-fn unknown_cell(grid: &[Cell], cell: &Cell, line: usize) -> Option<CheckpointError> {
-    (!grid.iter().any(|c| c.key() == cell.key())).then(|| CheckpointError::UnknownCell {
-        line,
-        cell: cell.to_string(),
-    })
-}
-
-fn load_checkpoint_jsonl(
-    bytes: &[u8],
-    fingerprint: &str,
-    grid: &[Cell],
-) -> Result<Restored, CheckpointError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::MissingHeader)?;
-    let lines: Vec<&str> = text.lines().collect();
-    let header = match lines.first() {
-        Some(first) => JsonParser::parse(first).map_err(|_| CheckpointError::MissingHeader)?,
-        None => return Err(CheckpointError::MissingHeader),
-    };
-    if header.get("dirca_checkpoint").and_then(Json::as_usize) != Some(1) {
-        return Err(CheckpointError::MissingHeader);
-    }
-    let found = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or(CheckpointError::MissingHeader)?;
-    if found != fingerprint {
-        return Err(CheckpointError::FingerprintMismatch {
-            expected: fingerprint.to_string(),
-            found: found.to_string(),
-        });
-    }
-    let last_data_line = lines
-        .iter()
-        .rposition(|l| !l.trim().is_empty())
-        .unwrap_or(0);
-    let mut done = BTreeMap::new();
-    let mut warnings = Vec::new();
-    for (i, text) in lines.iter().enumerate().skip(1) {
-        let line_no = i + 1;
-        if text.trim().is_empty() {
-            continue; // a torn final write leaves at most a blank tail
-        }
-        let is_tail = i == last_data_line;
-        let parsed = JsonParser::parse(text)
-            .map_err(|what| CheckpointError::Syntax {
-                line: line_no,
-                what,
-            })
-            .and_then(|json| parse_record(line_no, &json));
-        let (cell, samples) = match parsed {
-            Ok(v) => v,
-            Err(e) if is_tail => {
-                warnings.push(format!(
-                    "checkpoint line {line_no} is torn or corrupt and was skipped \
-                     (its cell will re-run): {e}"
-                ));
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        if let Some(e) = unknown_cell(grid, &cell, line_no) {
-            return Err(e);
-        }
-        apply_record(&mut done, cell, samples);
-    }
-    Ok((done, warnings))
-}
-
-fn load_checkpoint_bin(
-    bytes: &[u8],
-    fingerprint: &str,
-    grid: &[Cell],
-) -> Result<Restored, CheckpointError> {
-    use dirca_trace::wire::{decode_all, kind};
-    let (frames, tail_error) = decode_all(bytes);
+    let (frames, tail_error) = wire::decode_all(bytes);
     let Some(header) = frames.first() else {
         return Err(CheckpointError::MissingHeader);
     };
@@ -846,9 +378,8 @@ fn load_checkpoint_bin(
         });
     }
     let mut done = BTreeMap::new();
-    let mut warnings = Vec::new();
     for (i, frame) in frames.iter().enumerate().skip(1) {
-        // "Line" numbers in binary diagnostics are 1-based frame indices.
+        // Diagnostics number frames from 1, the header being frame 1.
         let frame_no = i + 1;
         if frame.kind != kind::CKPT_CELL {
             return Err(bad(
@@ -860,15 +391,32 @@ fn load_checkpoint_bin(
         // write — it is a schema mismatch, and stays a hard error.
         let (cell, samples) =
             wireio::decode_ckpt_cell(&frame.payload).map_err(|e| bad(frame_no, e.to_string()))?;
-        if let Some(e) = unknown_cell(grid, &cell, frame_no) {
-            return Err(e);
+        if !grid.iter().any(|c| c.key() == cell.key()) {
+            return Err(CheckpointError::UnknownCell {
+                line: frame_no,
+                cell: cell.to_string(),
+            });
         }
-        apply_record(&mut done, cell, samples);
+        match samples {
+            Some(s) => {
+                done.insert(cell.key(), s);
+            }
+            // Failed cells are recorded for diagnosis but never restored;
+            // a newer failure supersedes an older success, so the cell
+            // re-runs.
+            None => {
+                done.remove(&cell.key());
+            }
+        }
     }
+    let mut warnings = Vec::new();
     if let Some(e) = tail_error {
-        // The CRC framing makes every decoded prefix frame trustworthy,
-        // so whatever stopped the decoder is by definition a tail problem
-        // — degrade to a warning and re-run the lost cell.
+        if damaged_before_eof(bytes, &e) {
+            return Err(bad(
+                frames.len() + 1,
+                format!("frame is corrupt but not the last one, so this is not a torn tail: {e}"),
+            ));
+        }
         warnings.push(format!(
             "checkpoint tail is torn or corrupt and was skipped \
              (at most one cell will re-run): {e}"
@@ -877,70 +425,46 @@ fn load_checkpoint_bin(
     Ok((done, warnings))
 }
 
+/// Whether the decoder stopped at a whole frame that fails its CRC while
+/// more bytes follow it. A crash mid-write only ever tears the *last*
+/// frame, so such a frame is interior corruption, not a torn tail.
+fn damaged_before_eof(bytes: &[u8], error: &WireError) -> bool {
+    let WireError::CrcMismatch { offset, .. } = *error else {
+        return false;
+    };
+    let start = offset as usize;
+    let Some(Ok(header)) = bytes
+        .get(start..start + wire::HEADER_LEN)
+        .map(<[u8; wire::HEADER_LEN]>::try_from)
+    else {
+        return false;
+    };
+    wire::parse_header(&header, offset).is_ok_and(|(_, len)| {
+        start + wire::HEADER_LEN + len as usize + wire::TRAILER_LEN < bytes.len()
+    })
+}
+
 // ---------------------------------------------------------------------
 // Compaction: drop a salvaged torn tail from the file itself.
 // ---------------------------------------------------------------------
 
-/// The longest valid prefix of a checkpoint document: the header plus
-/// every intact record, with any torn or corrupt tail dropped. Valid
-/// content is preserved byte-for-byte (binary frames re-encode to their
-/// exact original bytes; JSONL lines are kept verbatim), so recorded
-/// failures keep their full diagnosis. Idempotent: compacting an already
-/// clean document returns it unchanged. Bytes that do not even start
-/// with a valid header are returned untouched — compaction never
-/// destroys what it cannot parse (resume will reject such a file with a
-/// hard error instead).
+/// The longest valid prefix of a checkpoint document: the header frame
+/// plus every intact record frame, with any torn or corrupt tail dropped.
+/// Frame encoding is deterministic (kind + length + payload + CRC), so
+/// re-encoding every decoded frame reproduces the valid prefix of the
+/// original bytes exactly, and recorded failures keep their full
+/// diagnosis. Idempotent: compacting an already clean document returns it
+/// unchanged. Bytes that do not start with a header frame, or that are
+/// damaged before their last frame, are returned untouched — compaction
+/// never destroys what resume would refuse (resume rejects such a file
+/// with a hard error instead).
 pub fn compacted_checkpoint(bytes: &[u8]) -> Vec<u8> {
-    if wireio::sniff_binary(bytes) {
-        compacted_checkpoint_bin(bytes)
-    } else {
-        compacted_checkpoint_jsonl(bytes)
-    }
-}
-
-fn compacted_checkpoint_jsonl(bytes: &[u8]) -> Vec<u8> {
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        return bytes.to_vec();
-    };
-    let mut lines = text.lines();
-    let Some(header) = lines.next() else {
-        return bytes.to_vec();
-    };
-    let valid_header = JsonParser::parse(header)
-        .ok()
-        .is_some_and(|h| h.get("dirca_checkpoint").and_then(Json::as_usize) == Some(1));
-    if !valid_header {
+    let (frames, tail_error) = wire::decode_all(bytes);
+    if frames.first().is_none_or(|f| f.kind != kind::CKPT_HEADER)
+        || tail_error.is_some_and(|e| damaged_before_eof(bytes, &e))
+    {
         return bytes.to_vec();
     }
-    let mut out = String::with_capacity(text.len());
-    out.push_str(header);
-    out.push('\n');
-    for line in lines {
-        // Blank interior lines are skippable on load but carry nothing;
-        // a torn write leaves at most a blank or partial tail. Either
-        // way, the first non-record line ends the valid prefix.
-        let intact = !line.trim().is_empty()
-            && JsonParser::parse(line)
-                .ok()
-                .is_some_and(|json| parse_record(0, &json).is_ok());
-        if !intact {
-            break;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.into_bytes()
-}
-
-fn compacted_checkpoint_bin(bytes: &[u8]) -> Vec<u8> {
-    use dirca_trace::wire::{self, kind};
-    let (frames, _tail_error) = wire::decode_all(bytes);
-    if frames.first().is_none_or(|f| f.kind != kind::CKPT_HEADER) {
-        return bytes.to_vec();
-    }
-    // Frame encoding is deterministic (kind + length + payload + CRC), so
-    // re-encoding every decoded frame reproduces the valid prefix of the
-    // original bytes exactly, minus whatever stopped the decoder.
     let mut out = Vec::with_capacity(bytes.len());
     for frame in &frames {
         wire::encode_frame_into(frame.kind, &frame.payload, &mut out);
@@ -1004,17 +528,9 @@ pub fn run_grid_with(
     let mut done: BTreeMap<CellKey, Vec<TopologySample>> = BTreeMap::new();
     let mut warnings = Vec::new();
     let mut sink: Option<File> = None;
-    // Appended records must match the existing file, whatever the flag
-    // says; a fresh file is written in the configured format.
-    let mut sink_format = config.checkpoint_format;
     if let Some(path) = &config.checkpoint {
         if config.resume && path.exists() {
             let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-            sink_format = if wireio::sniff_binary(&bytes) {
-                WireFormat::Bin
-            } else {
-                WireFormat::Jsonl
-            };
             (done, warnings) = load_checkpoint(&bytes, &fingerprint, &cells)?;
             if !warnings.is_empty() {
                 // A torn tail was salvaged: compact it out of the file
@@ -1031,15 +547,8 @@ pub fn run_grid_with(
             );
         } else {
             let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-            match sink_format {
-                WireFormat::Jsonl => {
-                    writeln!(file, "{}", header_line(&fingerprint)).map_err(|e| io_err(path, e))?;
-                }
-                WireFormat::Bin => {
-                    file.write_all(&wireio::ckpt_header_frame(&fingerprint))
-                        .map_err(|e| io_err(path, e))?;
-                }
-            }
+            file.write_all(&wireio::ckpt_header_frame(&fingerprint))
+                .map_err(|e| io_err(path, e))?;
             sink = Some(file);
         }
     }
@@ -1085,16 +594,8 @@ pub fn run_grid_with(
             }
         };
         if let (Some(file), Some(path)) = (sink.as_mut(), config.checkpoint.as_ref()) {
-            match sink_format {
-                WireFormat::Jsonl => {
-                    writeln!(file, "{}", record_line(cell, &result))
-                        .map_err(|e| io_err(path, e))?;
-                }
-                WireFormat::Bin => {
-                    file.write_all(&wireio::ckpt_cell_frame(cell, &result))
-                        .map_err(|e| io_err(path, e))?;
-                }
-            }
+            file.write_all(&wireio::ckpt_cell_frame(cell, &result))
+                .map_err(|e| io_err(path, e))?;
             file.flush().map_err(|e| io_err(path, e))?;
         }
         outcomes.push(CellOutcome {
@@ -1116,86 +617,6 @@ pub fn run_grid_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dirca_sim::SimTime;
-
-    #[test]
-    fn json_subset_round_trips_records() {
-        let cell = Cell {
-            n: 3,
-            theta: 90.0,
-            scheme: Scheme::OrtsOcts,
-        };
-        let samples = vec![
-            TopologySample {
-                throughput: 0.123456789,
-                delay_ms: Some(1.5),
-                collision_ratio: None,
-                jain: Some(0.875),
-            },
-            TopologySample {
-                throughput: 0.2,
-                delay_ms: None,
-                collision_ratio: Some(0.1),
-                jain: None,
-            },
-        ];
-        let line = record_line(&cell, &Ok(samples.clone()));
-        let json = JsonParser::parse(&line).unwrap();
-        let (back_cell, back) = parse_record(2, &json).unwrap();
-        assert_eq!(back_cell, cell);
-        assert_eq!(back.unwrap(), samples, "floats must round-trip exactly");
-    }
-
-    #[test]
-    fn failure_records_parse_but_do_not_restore() {
-        let cell = Cell {
-            n: 5,
-            theta: 150.0,
-            scheme: Scheme::DrtsDcts,
-        };
-        let panicked = record_line(
-            &cell,
-            &Err(CellFailure::Panicked {
-                topology: 3,
-                message: "weird \"quoted\"\npayload".into(),
-            }),
-        );
-        let json = JsonParser::parse(&panicked).unwrap();
-        let (_, restored) = parse_record(2, &json).unwrap();
-        assert!(restored.is_none());
-        let timed = record_line(
-            &cell,
-            &Err(CellFailure::TimedOut {
-                topology: 0,
-                aborted: dirca_net::RunAborted {
-                    reason: AbortReason::MaxEvents,
-                    events: 7,
-                    now: SimTime::from_micros(9),
-                },
-            }),
-        );
-        let json = JsonParser::parse(&timed).unwrap();
-        let (_, restored) = parse_record(3, &json).unwrap();
-        assert!(restored.is_none());
-    }
-
-    #[test]
-    fn parser_rejects_malformed_lines() {
-        for bad in [
-            "not json",
-            "{\"n\":3",
-            "{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\"}",
-            "{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"weird\"}",
-            "{\"n\":3,\"theta\":90,\"scheme\":\"BOGUS\",\"status\":\"ok\",\"samples\":[]}",
-        ] {
-            let parsed = JsonParser::parse(bad);
-            let failed = match parsed {
-                Err(_) => true,
-                Ok(json) => parse_record(1, &json).is_err(),
-            };
-            assert!(failed, "must reject {bad:?}");
-        }
-    }
 
     #[test]
     fn cell_parse_round_trips_flag_syntax() {

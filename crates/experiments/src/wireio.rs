@@ -1,14 +1,15 @@
 //! Binary (CRC-framed) encodings of the runner's checkpoint records,
-//! plus the `--trace-format` / `--checkpoint-format` flag vocabulary.
+//! plus the `--trace-format` flag vocabulary.
 //!
-//! The JSONL checkpoint and trace formats stay the human-auditable
-//! default; the binary twin defined here (built on
-//! [`dirca_trace::wire`]) is roughly 4–5× denser and, thanks to
-//! per-frame CRCs, distinguishes "torn tail from a crash mid-write"
-//! from "actually corrupt data" — the property the crash-tolerant
-//! resume path and `dirca-serve` are built on. Readers pick the format
-//! by sniffing the leading bytes ([`sniff_binary`]): no JSONL document
-//! starts with the wire magic.
+//! Checkpoints exist only in the binary format defined here (built on
+//! [`dirca_trace::wire`]): per-frame CRCs distinguish "torn tail from a
+//! crash mid-write" from "actually corrupt data" — the property the
+//! crash-tolerant resume path and `dirca-serve` are built on.
+//!
+//! Trace documents come in two encodings, picked with `--trace-format`
+//! ([`WireFormat`]): JSONL stays the human-auditable default, binary is
+//! the compact one. `trace_view` tells them apart by sniffing the leading
+//! bytes ([`sniff_binary`]): no JSONL document starts with the wire magic.
 
 use std::fmt;
 
@@ -21,7 +22,7 @@ use crate::cli::{Flags, UsageError};
 use crate::ringsim::{CellFailure, TopologySample};
 use crate::runner::Cell;
 
-/// On-disk encoding for checkpoints and trace documents.
+/// On-disk encoding for trace documents (`--trace-format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
     /// One JSON object per line (the original, human-auditable format).
@@ -41,14 +42,15 @@ impl fmt::Display for WireFormat {
 }
 
 impl WireFormat {
-    /// Parses a `--<flag> {jsonl,bin}` value; absent means JSONL.
-    pub fn try_from_flags(flags: &Flags, flag: &str) -> Result<Self, UsageError> {
-        match flags.get(flag) {
+    /// Parses the `--trace-format {jsonl,bin}` value; absent means JSONL.
+    pub fn try_from_flags(flags: &Flags) -> Result<Self, UsageError> {
+        const FLAG: &str = "trace-format";
+        match flags.get(FLAG) {
             None => Ok(WireFormat::Jsonl),
             Some("jsonl") => Ok(WireFormat::Jsonl),
             Some("bin") => Ok(WireFormat::Bin),
             Some(other) => Err(UsageError {
-                flag: flag.to_string(),
+                flag: FLAG.to_string(),
                 expected: "jsonl or bin",
                 got: other.to_string(),
             }),
@@ -107,10 +109,9 @@ fn take_opt_f64(r: &mut WireReader<'_>) -> Result<Option<f64>, PayloadError> {
     }
 }
 
-/// One cell outcome as a `CKPT_CELL` frame (raw bytes ready to append);
-/// the binary twin of the runner's JSONL `record_line`. Failures are
-/// recorded with their diagnosis but — exactly like the JSONL path —
-/// never restored on resume.
+/// One cell outcome as a `CKPT_CELL` frame (raw bytes ready to append).
+/// Failures are recorded with their diagnosis but never restored on
+/// resume.
 pub fn ckpt_cell_frame(cell: &Cell, result: &Result<Vec<TopologySample>, CellFailure>) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u64(cell.n as u64);
@@ -291,25 +292,22 @@ mod tests {
 
     #[test]
     fn format_flag_parses_and_rejects() {
-        let flags = Flags::parse(["--checkpoint-format", "bin"].iter().map(|s| s.to_string()));
-        assert_eq!(
-            WireFormat::try_from_flags(&flags, "checkpoint-format").unwrap(),
-            WireFormat::Bin
-        );
+        let flags = Flags::parse(["--trace-format", "bin"].iter().map(|s| s.to_string()));
+        assert_eq!(WireFormat::try_from_flags(&flags).unwrap(), WireFormat::Bin);
         let flags = Flags::parse(std::iter::empty());
         assert_eq!(
-            WireFormat::try_from_flags(&flags, "checkpoint-format").unwrap(),
+            WireFormat::try_from_flags(&flags).unwrap(),
             WireFormat::Jsonl
         );
         let flags = Flags::parse(["--trace-format", "xml"].iter().map(|s| s.to_string()));
-        let err = WireFormat::try_from_flags(&flags, "trace-format").unwrap_err();
+        let err = WireFormat::try_from_flags(&flags).unwrap_err();
         assert_eq!(err.flag, "trace-format");
     }
 
     #[test]
     fn sniffing_separates_the_formats() {
         assert!(sniff_binary(&ckpt_header_frame("x")));
-        assert!(!sniff_binary(b"{\"dirca_checkpoint\":1}"));
+        assert!(!sniff_binary(b"{\"schema\":\"dirca-trace/v1\"}"));
         assert!(!sniff_binary(b""));
     }
 }

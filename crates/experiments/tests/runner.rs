@@ -9,9 +9,10 @@ use std::path::PathBuf;
 use dirca_experiments::report::{render_combined, GridScale};
 use dirca_experiments::ringsim::{CellFailure, RingOutcome};
 use dirca_experiments::runner::{
-    enumerate_cells, run_grid, Cell, CheckpointError, GridRun, RunnerConfig,
+    compacted_checkpoint, enumerate_cells, grid_fingerprint, run_grid, Cell, CheckpointError,
+    GridRun, RunnerConfig,
 };
-use dirca_experiments::wireio::WireFormat;
+use dirca_experiments::wireio::{ckpt_cell_frame, ckpt_header_frame, sniff_binary};
 use dirca_mac::Scheme;
 use dirca_sim::SimDuration;
 
@@ -37,7 +38,7 @@ fn runner() -> RunnerConfig {
 }
 
 fn ckpt_path(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("dirca_ckpt_{}_{label}.jsonl", std::process::id()))
+    std::env::temp_dir().join(format!("dirca_ckpt_{}_{label}.ckpt", std::process::id()))
 }
 
 fn report_of(scale: &GridScale, run: &GridRun) -> String {
@@ -124,6 +125,10 @@ fn interrupted_grid_resumes_to_an_identical_report() {
     let first = run_grid(&scale, &interrupted).unwrap();
     assert!(first.stopped_early);
     assert_eq!(first.executed, 1);
+    assert!(
+        sniff_binary(&std::fs::read(&path).unwrap()),
+        "checkpoints must start with the wire magic"
+    );
     let resumed_config = RunnerConfig {
         checkpoint: Some(path.clone()),
         resume: true,
@@ -133,6 +138,7 @@ fn interrupted_grid_resumes_to_an_identical_report() {
     assert!(!second.stopped_early);
     assert_eq!(second.restored, 1, "the finished cell must not re-run");
     assert_eq!(second.executed, 2);
+    assert!(second.warnings.is_empty(), "{:?}", second.warnings);
     let got = report_of(&scale, &second);
     assert_eq!(want, got, "resumed report must equal the uninterrupted one");
 
@@ -252,31 +258,41 @@ fn resume_rejects_garbage_checkpoints_with_typed_errors() {
         resume(&path).unwrap_err(),
         CheckpointError::MissingHeader
     ));
-    // Valid header, torn record line *mid-file* (a later intact record
-    // follows): that is corruption, not a crash tail — still a hard error.
-    let fp = dirca_experiments::runner::grid_fingerprint(&scale);
+    // A JSONL checkpoint from an older release is refused, not misread.
+    let fp = grid_fingerprint(&scale);
     std::fs::write(
         &path,
-        format!(
-            "{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fp}\"}}\n\
-             {{\"n\":3,\"thet\n\
-             {{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"ok\",\"samples\":[]}}\n"
-        ),
+        format!("{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fp}\"}}\n"),
     )
     .unwrap();
     assert!(matches!(
         resume(&path).unwrap_err(),
-        CheckpointError::Syntax { line: 2, .. }
+        CheckpointError::MissingHeader
     ));
-    // Valid JSON, cell outside this grid.
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fp}\"}}\n\
-             {{\"n\":99,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"ok\",\"samples\":[]}}\n"
-        ),
-    )
-    .unwrap();
+    // Valid header, corrupt record frame *mid-file* (a later intact frame
+    // follows): that is corruption, not a crash tail — a hard error that
+    // names the frame and leaves the file as it was.
+    let cell = |n| Cell {
+        n,
+        theta: 90.0,
+        scheme: Scheme::OrtsOcts,
+    };
+    let mut doc = ckpt_header_frame(&fp);
+    let damaged_at = doc.len() + 12;
+    doc.extend_from_slice(&ckpt_cell_frame(&cell(3), &Ok(vec![])));
+    doc.extend_from_slice(&ckpt_cell_frame(&cell(3), &Ok(vec![])));
+    doc[damaged_at] ^= 0x01;
+    std::fs::write(&path, &doc).unwrap();
+    assert!(matches!(
+        resume(&path).unwrap_err(),
+        CheckpointError::BadRecord { line: 2, .. }
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), doc, "file must be untouched");
+    assert_eq!(compacted_checkpoint(&doc), doc);
+    // Intact frame, cell outside this grid.
+    let mut doc = ckpt_header_frame(&fp);
+    doc.extend_from_slice(&ckpt_cell_frame(&cell(99), &Ok(vec![])));
+    std::fs::write(&path, &doc).unwrap();
     assert!(matches!(
         resume(&path).unwrap_err(),
         CheckpointError::UnknownCell { line: 2, .. }
@@ -290,20 +306,18 @@ fn torn_trailing_checkpoint_line_is_skipped_with_a_warning() {
     let want = report_of(&scale, &run_grid(&scale, &runner()).unwrap());
 
     // Run the full grid with a checkpoint, then simulate a crash
-    // mid-write by truncating the file into the middle of its last line.
+    // mid-write by truncating the file into the middle of its last frame.
     let path = ckpt_path("torn_tail");
     let with_ckpt = RunnerConfig {
         checkpoint: Some(path.clone()),
         ..runner()
     };
     run_grid(&scale, &with_ckpt).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let last_line_start = text.trim_end().rfind('\n').unwrap() + 1;
-    let cut = last_line_start + (text.len() - last_line_start) / 2;
-    std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
     // Resume: the torn cell re-runs instead of the resume failing, a
-    // warning names the skipped line, and the report is byte-identical.
+    // warning names the skipped tail, and the report is byte-identical.
     let resumed = run_grid(
         &scale,
         &RunnerConfig {
@@ -323,65 +337,6 @@ fn torn_trailing_checkpoint_line_is_skipped_with_a_warning() {
         resumed.warnings
     );
     assert_eq!(report_of(&scale, &resumed), want);
-}
-
-#[test]
-fn binary_checkpoint_resumes_to_an_identical_report() {
-    let scale = tiny_scale();
-    let want = report_of(&scale, &run_grid(&scale, &runner()).unwrap());
-
-    let path = ckpt_path("bin_resume");
-    let first = run_grid(
-        &scale,
-        &RunnerConfig {
-            checkpoint: Some(path.clone()),
-            checkpoint_format: WireFormat::Bin,
-            max_cells: Some(1),
-            ..runner()
-        },
-    )
-    .unwrap();
-    assert!(first.stopped_early);
-    let bytes = std::fs::read(&path).unwrap();
-    assert!(
-        dirca_experiments::wireio::sniff_binary(&bytes),
-        "binary checkpoints must start with the wire magic"
-    );
-
-    // Resume WITHOUT the format flag: the reader sniffs the existing
-    // file and keeps appending binary frames.
-    let second = run_grid(
-        &scale,
-        &RunnerConfig {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..runner()
-        },
-    )
-    .unwrap();
-    assert_eq!(second.restored, 1);
-    assert_eq!(second.executed, 2);
-    assert!(second.warnings.is_empty(), "{:?}", second.warnings);
-    assert_eq!(report_of(&scale, &second), want);
-
-    // A torn binary tail (crash mid-frame-write) degrades to a warning
-    // plus a re-run of the lost cell, exactly like the JSONL path.
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-    let third = run_grid(
-        &scale,
-        &RunnerConfig {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..runner()
-        },
-    )
-    .unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(third.restored, 2);
-    assert_eq!(third.executed, 1);
-    assert_eq!(third.warnings.len(), 1, "{:?}", third.warnings);
-    assert_eq!(report_of(&scale, &third), want);
 }
 
 #[test]
