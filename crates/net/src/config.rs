@@ -17,6 +17,22 @@ pub struct MobilityConfig {
     pub epoch: SimDuration,
 }
 
+impl MobilityConfig {
+    /// Validates the model parameters and the epoch length.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid model parameters or a zero epoch (which would
+    /// reschedule every position epoch at the same instant forever).
+    pub fn validate(&self) {
+        self.model.validate();
+        assert!(
+            self.epoch > SimDuration::ZERO,
+            "mobility epoch must be positive"
+        );
+    }
+}
+
 /// How each node's traffic source behaves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficModel {
@@ -198,9 +214,9 @@ impl SimConfig {
     ///
     /// Panics on invalid model parameters or a zero epoch.
     pub fn with_mobility(mut self, model: MobilityModel, epoch: SimDuration) -> Self {
-        model.validate();
-        assert!(epoch > SimDuration::ZERO, "mobility epoch must be positive");
-        self.mobility = Some(MobilityConfig { model, epoch });
+        let mobility = MobilityConfig { model, epoch };
+        mobility.validate();
+        self.mobility = Some(mobility);
         self
     }
 

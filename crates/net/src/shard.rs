@@ -162,7 +162,7 @@ impl ShardNetWorld {
         };
         let NetWorld {
             channel,
-            plan,
+            geometry,
             macs,
             phys,
             rngs,
@@ -180,7 +180,7 @@ impl ShardNetWorld {
             sim,
             phy: &mut phys[node.0],
             channel,
-            plan,
+            plan: geometry.static_plan(),
             params,
             rng: &mut rngs[node.0],
             next_signal,
@@ -271,7 +271,8 @@ impl ShardWorld for ShardNetWorld {
                     if !self.owns(dst) {
                         continue; // the owner shard handles its own copy
                     }
-                    let (heading, distance) = self.world.plan.arrival_geometry(dst, src);
+                    let (heading, distance) =
+                        self.world.geometry.static_plan().arrival_geometry(dst, src);
                     let became_busy =
                         self.world.phys[dst.0].signal_arrives_at(id, heading, distance, end);
                     if became_busy {
@@ -610,7 +611,10 @@ impl ShardedNetSim {
             lookahead > SimDuration::ZERO,
             "sharded execution needs a positive propagation delay for lookahead"
         );
-        let partition = Arc::new(RegionPartition::striped(first.plan.grid(), shards));
+        let partition = Arc::new(RegionPartition::striped(
+            first.geometry.static_plan().grid(),
+            shards,
+        ));
         let n = topology.len();
         let mut worlds = Vec::with_capacity(shards as usize);
         worlds.push(first);

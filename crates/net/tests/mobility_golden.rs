@@ -7,7 +7,9 @@
 //! battery also pins the three-scheme coincidence at θ = 360° (where
 //! directional and omni transmissions are the same physical footprint,
 //! with or without SINR capture), determinism of genuinely mobile runs,
-//! and the zero-cache-work contract of speed-0 position epochs.
+//! recorded hashes of three genuinely mobile traces (random waypoint with
+//! the binary PHY and with a leaky SINR pattern, and RPGM), and the
+//! zero-cache-work contract of speed-0 position epochs.
 
 // Byte-identical runs are the point: exact float equality is intended.
 #![allow(clippy::float_cmp)]
@@ -173,6 +175,42 @@ fn walkers() -> MobilityModel {
         speed_min: 2.0,
         speed_max: 4.0,
         pause_secs: 0.05,
+    }
+}
+
+fn groups() -> MobilityModel {
+    MobilityModel::Rpgm {
+        groups: 3,
+        speed_min: 2.0,
+        speed_max: 4.0,
+        pause_secs: 0.0,
+        deviation: 0.3,
+    }
+}
+
+/// Genuinely mobile ring runs (DRTS-DCTS, θ = 30°, 5 ms epochs), pinned by
+/// FNV-1a hashes recorded on the tree whose mobile plan still cached
+/// per-edge geometry and footprints — any change to how the mobile plan
+/// answers queries must leave these traces untouched.
+#[test]
+fn mobile_traces_reproduce_recorded_hashes() {
+    let epoch = SimDuration::from_millis(5);
+    let leaky = SinrPhy::ideal().with_side_floor(0.2).with_margin(0.2);
+    type Mutate<'a> = &'a dyn Fn(SimConfig) -> SimConfig;
+    let runs: [(&str, u64, Mutate); 3] = [
+        ("random waypoint, binary PHY", 0x9a8f_ec5f_818f_0fe0, &|c| {
+            c.with_mobility(walkers(), epoch)
+        }),
+        ("random waypoint, leaky SINR", 0x7af6_a1d0_2de6_da7d, &|c| {
+            c.with_mobility(walkers(), epoch).with_sinr(leaky)
+        }),
+        ("RPGM, binary PHY", 0x2a37_0bfd_ada6_d55c, &|c| {
+            c.with_mobility(groups(), epoch)
+        }),
+    ];
+    for (label, want, mutate) in runs {
+        let got = ring_trace_hash(Scheme::DrtsDcts, 7, mutate);
+        assert_eq!(got, want, "{label}: the mobile trace changed");
     }
 }
 
