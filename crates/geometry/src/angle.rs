@@ -56,7 +56,10 @@ impl Angle {
     /// This is the quantity compared against half the beamwidth when deciding
     /// whether a direction falls inside an antenna beam.
     pub fn separation(self, other: Angle) -> f64 {
-        let d = (self.radians - other.radians).abs() % TAU;
+        let d = (self.radians - other.radians).abs();
+        // `d % TAU == d` exactly when `d < TAU`, which holds for nearly
+        // every pair of normalized headings: skip the fmod there.
+        let d = if d < TAU { d } else { d % TAU };
         if d > PI {
             TAU - d
         } else {
@@ -98,6 +101,11 @@ impl Neg for Angle {
 }
 
 fn normalize_radians(mut r: f64) -> f64 {
+    if r > -PI && r <= PI {
+        // Already in range: `r % TAU == r` exactly for |r| < TAU, so the
+        // wrap below would hand `r` back unchanged.
+        return r;
+    }
     if !r.is_finite() {
         // Propagate NaN; callers validating input should never reach this.
         return f64::NAN;
@@ -209,6 +217,13 @@ impl Beamwidth {
     /// (in `[0, π]`) is inside the beam.
     pub fn covers_separation(self, separation: f64) -> bool {
         separation <= self.half_radians() + 1e-12
+    }
+
+    /// Whether a beam with this aperture aimed at `boresight` covers the
+    /// direction `bearing` — the angular half of [`crate::Sector::contains`],
+    /// for callers that already hold the bearing.
+    pub fn covers_bearing(self, boresight: Angle, bearing: Angle) -> bool {
+        self.covers_separation(boresight.separation(bearing))
     }
 }
 

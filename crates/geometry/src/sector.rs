@@ -93,8 +93,8 @@ impl Sector {
         if d2 <= crate::EPSILON {
             return true;
         }
-        let sep = self.boresight.separation(self.apex.heading_to(p));
-        self.beamwidth.covers_separation(sep)
+        self.beamwidth
+            .covers_bearing(self.boresight, self.apex.heading_to(p))
     }
 }
 

@@ -3,6 +3,8 @@
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
+use std::f64::consts::{PI, TAU};
+
 use dirca_geometry::{
     hidden_area, lens_area, paper, q, sample, Angle, Beamwidth, Circle, Point, Sector,
 };
@@ -124,5 +126,101 @@ proptest! {
         let d = Point::ORIGIN.distance(p);
         prop_assert!(d >= inner - 1e-9);
         prop_assert!(d <= inner + extra + 1e-9);
+    }
+}
+
+/// `Angle::from_radians` as the plain `%`-based wrap: the oracle the
+/// in-range fast path must reproduce bit for bit.
+fn normalize_oracle(r: f64) -> f64 {
+    if !r.is_finite() {
+        return f64::NAN;
+    }
+    let mut r = r % TAU;
+    if r <= -PI {
+        r += TAU;
+    } else if r > PI {
+        r -= TAU;
+    }
+    r
+}
+
+/// `Angle::separation` as the plain `%`-based fold of two normalized
+/// headings.
+fn separation_oracle(a: f64, b: f64) -> f64 {
+    let d = (a - b).abs() % TAU;
+    if d > PI {
+        TAU - d
+    } else {
+        d
+    }
+}
+
+/// Inputs at and around every branch of the normalization and the fold.
+fn special_radians() -> Vec<f64> {
+    let mut values = vec![
+        0.0,
+        -0.0,
+        PI,
+        -PI,
+        f64::from_bits(PI.to_bits() + 1),
+        f64::from_bits(PI.to_bits() - 1),
+        -f64::from_bits(PI.to_bits() + 1),
+        -f64::from_bits(PI.to_bits() - 1),
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+    ];
+    for k in 1..=4 {
+        let k = f64::from(k);
+        values.extend([k * TAU, -k * TAU, k * TAU + PI, -k * TAU - PI]);
+    }
+    values
+}
+
+fn assert_angle_matches_oracle(a: f64, b: f64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        Angle::from_radians(a).radians().to_bits(),
+        normalize_oracle(a).to_bits()
+    );
+    prop_assert_eq!(
+        Angle::from_radians(a)
+            .separation(Angle::from_radians(b))
+            .to_bits(),
+        separation_oracle(normalize_oracle(a), normalize_oracle(b)).to_bits()
+    );
+    Ok(())
+}
+
+#[test]
+fn angle_matches_fmod_oracle_on_special_values() {
+    let specials = special_radians();
+    for &a in &specials {
+        for &b in &specials {
+            assert_angle_matches_oracle(a, b).unwrap();
+        }
+    }
+}
+
+fn radians_strategy() -> BoxedStrategy<f64> {
+    let specials = special_radians();
+    prop_oneof![
+        -20.0f64..20.0,
+        // Any bit pattern: every magnitude, subnormals, NaN payloads.
+        (0u64..=u64::MAX).prop_map(f64::from_bits),
+        (0..specials.len()).prop_map(move |i| specials[i]),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn angle_matches_fmod_oracle_bit_for_bit(a in radians_strategy(), b in radians_strategy()) {
+        assert_angle_matches_oracle(a, b)?;
     }
 }

@@ -13,19 +13,24 @@
 //! * **Omni neighbour lists** are materialised once per node from the
 //!   grid's candidate superset — O(n · local density) build, O(n) total
 //!   memory — and served as borrowed id-sorted slices, allocation-free.
-//! * **Directional footprints** are precomputed per *edge* (per omni
-//!   arena slot), not per node pair: a beam shares the omni disk's exact
-//!   distance bound (`Sector::contains` and `TxPattern::covers` both test
+//! * **Distance and bearing** are computed once per *edge* (per omni
+//!   arena slot) with the *same expressions* the reference [`Channel`]
+//!   evaluates, and cached: results are bit-identical to the old cached
+//!   matrices without the O(n²) storage; arbitrary-pair queries compute on
+//!   demand.
+//! * **Directional footprints** are precomputed per edge, not per node
+//!   pair: a beam shares the omni disk's exact distance bound
+//!   (`Sector::contains` and `TxPattern::covers` both test
 //!   `d² ≤ R² + EPSILON`), so every aimable footprint is a filter of the
-//!   transmitter's omni slice, and the footprint table costs
-//!   O(Σ deg²) — linear in n at fixed density — instead of the old n²
-//!   range matrix. Lookup is a binary search of the id-sorted neighbour
-//!   slice. Aims at out-of-neighbourhood destinations (which a MAC never
-//!   produces) are filtered on the fly with the same predicate.
-//! * **Distance and arrival heading** are likewise cached per edge with
-//!   the *same expressions* the reference [`Channel`] evaluates, so
-//!   results are bit-identical to the old cached matrices without the
-//!   O(n²) storage; arbitrary-pair queries compute on demand.
+//!   transmitter's omni slice. The filter compares the cached bearings
+//!   against the aim's cached bearing (`Beamwidth::covers_bearing`, the
+//!   sector's own angular test), so the build does O(Σ deg) trigonometry
+//!   and O(Σ deg²) comparisons — linear in n at fixed density — instead of
+//!   the old n² range matrix. Lookup is a binary search of the id-sorted
+//!   neighbour slice. Aims at out-of-neighbourhood destinations (which a
+//!   MAC never produces) are filtered on the fly with the same predicate.
+//! * **Strict adjacency** (`d² ≤ R²`, for traffic generation) filters the
+//!   omni slice, a superset that is already sorted.
 //!
 //! Every query is equal to its reference implementation
 //! ([`Channel::covered_by`] / [`Channel::heading`] /
@@ -103,9 +108,10 @@ impl CoveragePlan {
     /// Builds the plan for `channel` with directional sets computed at
     /// `beamwidth`.
     ///
-    /// Cost: O(n · local density) time for the grid and omni lists plus
-    /// O(Σ deg²) sector tests for the per-edge directional footprints —
-    /// linear in n at fixed density, never pairwise-quadratic.
+    /// Cost: O(n · local density) time for the grid and omni lists, one
+    /// distance and one bearing per edge, and O(Σ deg²) angle comparisons
+    /// (no trigonometry) for the per-edge directional footprints — linear
+    /// in n at fixed density, never pairwise-quadratic.
     ///
     /// # Panics
     ///
@@ -151,47 +157,51 @@ impl CoveragePlan {
         let edges = arena.len();
 
         // Per-edge caches, indexed by omni arena slot: the distance and
-        // arrival bearing between a slice's owner and the neighbour in
-        // that slot (the exact reference expressions, so values are
-        // bit-identical to `Channel::distance` / `Channel::heading`), and
-        // the directional footprint of the beam aimed owner → neighbour.
-        // A beam shares the omni disk's exact distance bound
-        // (`Sector::contains` and `TxPattern::covers` both test
-        // `d² ≤ R² + EPSILON`), so filtering the owner's omni slice
-        // through the reference predicate yields exactly
+        // bearing from a slice's owner to the neighbour in that slot (the
+        // exact reference expressions, so values are bit-identical to
+        // `Channel::distance` / `Channel::heading`), each computed once per
+        // edge. The directional footprint of the beam aimed owner →
+        // neighbour then filters the owner's omni slice through
+        // `beam_covers_neighbor` against those cached bearings — no
+        // trigonometry per (aim, neighbour) pair — which yields exactly
         // `Channel::covered_by` for the aimed pattern, ascending order
-        // preserved — and the table is O(Σ deg²), not O(n²).
+        // preserved, in an O(Σ deg²) table instead of O(n²).
         let mut edge_dist = Vec::with_capacity(edges);
         let mut edge_heading = Vec::with_capacity(edges);
-        let mut dir_ranges = vec![(0u32, 0u32); edges];
+        let mut dir_ranges = Vec::with_capacity(edges);
+        let mut dist_squared: Vec<f64> = Vec::new();
         for src in 0..n {
-            let omni_range = (omni_offsets[src] as usize)..(omni_offsets[src + 1] as usize);
-            // panic-path: `src` iterates `0..n`, matching `positions`.
+            let (lo, hi) = (omni_offsets[src], omni_offsets[src + 1]);
+            // panic-path: `src` iterates `0..n`, matching `positions`, and
+            // omni slots hold ids the plan indexed.
             let origin = positions[src];
-            for slot in omni_range.clone() {
-                // panic-path: omni slots hold ids the plan indexed.
-                let dst = arena[slot];
-                edge_dist.push(origin.distance(positions[dst.0]));
-                edge_heading.push(origin.heading_to(positions[dst.0]));
-                let pattern = TxPattern::aimed(origin, positions[dst.0], beamwidth);
+            scratch.clear();
+            scratch.extend_from_slice(&arena[lo as usize..hi as usize]);
+            dist_squared.clear();
+            for &dst in &scratch {
+                let p = positions[dst.0];
+                dist_squared.push(origin.distance_squared(p));
+                edge_dist.push(origin.distance(p));
+                edge_heading.push(origin.heading_to(p));
+            }
+            let headings = &edge_heading[lo as usize..];
+            for &boresight in headings {
                 // Append the filtered footprint to the arena, then roll it
                 // back if the beam turned out to cover the whole
                 // neighbourhood (wide θ or a degenerate layout) — aliasing
                 // src's omni slice keeps the arena compact.
                 let start = arena.len();
-                for neighbor_slot in omni_range.clone() {
-                    let p = arena[neighbor_slot];
-                    if pattern.covers(origin, range, positions[p.0]) {
+                for ((&p, &d2), &bearing) in scratch.iter().zip(&dist_squared).zip(headings) {
+                    if beam_covers_neighbor(beamwidth, boresight, d2, bearing) {
                         arena.push(p);
                     }
                 }
-                let slice = if arena.len() - start == omni_range.len() {
+                dir_ranges.push(if arena.len() - start == scratch.len() {
                     arena.truncate(start);
-                    (omni_offsets[src], omni_offsets[src + 1])
+                    (lo, hi)
                 } else {
                     (arena_offset(start), arena_offset(arena.len()))
-                };
-                dir_ranges[slot] = slice;
+                });
             }
         }
 
@@ -361,10 +371,16 @@ impl CoveragePlan {
             return;
         }
         let origin = self.positions[src.0];
-        let pattern = TxPattern::aimed(origin, self.positions[dst.0], self.beamwidth);
-        for &p in self.neighbors(src) {
+        let boresight = origin.heading_to(self.positions[dst.0]);
+        let start = self.omni_offsets[src.0] as usize;
+        let neighbors = self.neighbors(src);
+        // panic-path: per-edge caches are arena-slot-parallel, so the omni
+        // slice's slots index `edge_heading`.
+        let headings = &self.edge_heading[start..start + neighbors.len()];
+        for (&p, &bearing) in neighbors.iter().zip(headings) {
             // panic-path: neighbour slices only hold ids the plan indexed.
-            if pattern.covers(origin, self.range, self.positions[p.0]) {
+            let d2 = origin.distance_squared(self.positions[p.0]);
+            if beam_covers_neighbor(self.beamwidth, boresight, d2, bearing) {
                 out.push(p);
             }
         }
@@ -391,7 +407,8 @@ impl CoveragePlan {
     /// [`CoveragePlan::neighbors`] (`d² ≤ R² + EPSILON`): traffic
     /// generation has always drawn destinations from the strict set while
     /// signal coverage uses the slack bound, and collapsing the two would
-    /// shift golden traces. The grid serves both since strict ⊆ slack.
+    /// shift golden traces. Since strict ⊆ slack, this filters the omni
+    /// slice, which is already ascending by id.
     ///
     /// # Panics
     ///
@@ -401,14 +418,24 @@ impl CoveragePlan {
         out.clear();
         let origin = self.positions[id.0];
         let r2 = self.range * self.range;
-        self.grid.for_each_candidate(origin, |p| {
-            // panic-path: grid candidates are ids the plan indexed.
-            if p != id && origin.distance_squared(self.positions[p.0]) <= r2 {
-                out.push(p);
-            }
-        });
-        out.sort_unstable();
+        // panic-path: neighbour slices only hold ids the plan indexed.
+        out.extend(
+            self.neighbors(id)
+                .iter()
+                .copied()
+                .filter(|p| origin.distance_squared(self.positions[p.0]) <= r2),
+        );
     }
+}
+
+/// Whether a beam aimed at `boresight` covers an omni neighbour at squared
+/// distance `d2` and bearing `bearing` — [`dirca_geometry::Sector::contains`]
+/// minus its range test, which every omni neighbour already passes (both
+/// bound `d² ≤ R² + EPSILON` with the same expression). The apex rule and
+/// the angular predicate are the sector's own.
+#[inline]
+fn beam_covers_neighbor(beamwidth: Beamwidth, boresight: Angle, d2: f64, bearing: Angle) -> bool {
+    d2 <= EPSILON || beamwidth.covers_bearing(boresight, bearing)
 }
 
 /// Narrows an arena length to the 32-bit offset type.

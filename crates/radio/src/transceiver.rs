@@ -340,9 +340,7 @@ fn interferes(
 ) -> bool {
     match mode {
         ReceptionMode::Omni => true,
-        ReceptionMode::Directional { beamwidth } => {
-            beamwidth.covers_separation(f_heading.separation(i_heading))
-        }
+        ReceptionMode::Directional { beamwidth } => beamwidth.covers_bearing(f_heading, i_heading),
         ReceptionMode::Capture { ratio } => i_distance < ratio * f_distance,
         // SINR interference is aggregate, not pairwise; its arrivals take
         // the dedicated branch in `signal_arrives_powered` and never reach

@@ -274,6 +274,8 @@ impl<W: World> Simulation<W> {
     ///
     /// On return the clock reads `deadline` if the run was cut short by it,
     /// or the time of the last processed event if the queue drained first.
+    /// A deadline earlier than the clock processes nothing and leaves the
+    /// clock where it is: it never moves backwards.
     ///
     /// # Panics
     ///
@@ -291,6 +293,10 @@ impl<W: World> Simulation<W> {
     /// On abort the offending event is left in the queue and the clock
     /// reads the last dispatched instant, so the world remains inspectable.
     pub fn try_run_until(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
+        if deadline < self.scheduler.now {
+            // Every pending event is at or after `now`, so nothing is due.
+            return Ok(0);
+        }
         let before = self.processed;
         while let Some(t) = self.scheduler.queue.peek_time() {
             if t > deadline {
@@ -427,6 +433,27 @@ mod tests {
         assert_eq!(sim.world().log.len(), 3);
         assert_eq!(sim.now(), SimTime::from_nanos(100));
         assert_eq!(sim.events_processed(), 3);
+    }
+
+    #[test]
+    fn earlier_deadline_leaves_the_clock_alone() {
+        let mut sim = Simulation::new(Recorder { log: Vec::new() });
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_micros(5), Ev::Leaf("late"));
+        sim.run_until(SimTime::from_micros(5));
+        assert_eq!(sim.run_until(SimTime::from_micros(1)), 0);
+        assert_eq!(sim.now(), SimTime::from_micros(5));
+        // A relative schedule lands after the events already dispatched.
+        sim.scheduler_mut()
+            .schedule_in(SimDuration::from_nanos(500), Ev::Leaf("next"));
+        sim.run_to_completion();
+        assert_eq!(
+            sim.world().log,
+            vec![
+                (SimTime::from_micros(5), "late"),
+                (SimTime::from_nanos(5_500), "next"),
+            ]
+        );
     }
 
     #[test]

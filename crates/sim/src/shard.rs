@@ -337,7 +337,9 @@ impl<W: ShardWorld> ShardedSimulation<W> {
     /// start after `deadline`. Events exactly at `deadline` are processed.
     /// `workers` threads execute the fixed shard set; the outcome is
     /// byte-identical for every `workers ≥ 1`. Returns the number of
-    /// events processed by this call.
+    /// events processed by this call. A deadline earlier than
+    /// [`ShardedSimulation::now`] processes nothing and leaves the clock
+    /// where it is.
     ///
     /// # Panics
     ///
@@ -360,6 +362,10 @@ impl<W: ShardWorld> ShardedSimulation<W> {
     /// Panics if `workers` is zero or a shard's event handler panics.
     pub fn try_run_until(&mut self, deadline: SimTime, workers: usize) -> Result<u64, RunAborted> {
         assert!(workers > 0, "need at least one worker");
+        if deadline < self.now {
+            // Nothing pending is due before the global clock.
+            return Ok(0);
+        }
         let shards = self.shards.len();
         let workers = workers.min(shards);
         let before = self.processed;
@@ -777,6 +783,32 @@ mod tests {
         let n = sim.run_until(SimTime::from_nanos(100), 2);
         assert_eq!(n, 1, "an event exactly at the deadline is processed");
         assert_eq!(sim.now(), SimTime::from_nanos(100));
+    }
+
+    #[test]
+    fn earlier_deadline_leaves_the_clock_alone() {
+        let mut sim = logger_sim(2);
+        sim.shard_parts_mut(0)
+            .1
+            .sched
+            .schedule_at(SimTime::from_micros(5), 0);
+        sim.run_until(SimTime::from_micros(5), 2);
+        assert_eq!(sim.run_until(SimTime::from_micros(1), 2), 0);
+        assert_eq!(sim.now(), SimTime::from_micros(5));
+        // A relative schedule lands after the events already dispatched.
+        sim.shard_parts_mut(1)
+            .1
+            .sched
+            .schedule_in(SimDuration::from_nanos(500), 0);
+        sim.run_until(SimTime::from_millis(1), 2);
+        let logs: Vec<_> = sim.worlds().map(|w| w.log.clone()).collect();
+        assert_eq!(
+            logs,
+            vec![
+                vec![(SimTime::from_micros(5), 0)],
+                vec![(SimTime::from_nanos(5_500), 0)],
+            ]
+        );
     }
 
     #[test]
