@@ -70,19 +70,9 @@ use dirca_topology::Topology;
 /// Panics if the topology is empty or node positions are invalid for the
 /// channel (see [`NetWorld::build`]).
 pub fn run(topology: &Topology, config: &SimConfig) -> RunResult {
-    let world = NetWorld::build(topology, config);
-    let mut sim = Simulation::new(world);
-    {
-        let (world, sched) = sim.world_and_scheduler_mut();
-        world.prime(sched);
-    }
-    let warmup_end = SimTime::ZERO + config.warmup;
-    sim.run_until(warmup_end);
-    sim.world_mut().reset_counters();
-    let end = warmup_end + config.measure;
-    sim.run_until(end);
-    let events = sim.events_processed();
-    RunResult::collect(sim.into_world(), config.measure, events)
+    let (world, events) = drive(NetWorld::build(topology, config), config, None)
+        .unwrap_or_else(|abort| panic!("{abort}"));
+    RunResult::collect(world, config.measure, events)
 }
 
 /// Like [`run`], but the whole run (warm-up and measurement) executes
@@ -98,9 +88,22 @@ pub fn run_guarded(
     config: &SimConfig,
     watchdog: Watchdog,
 ) -> Result<RunResult, RunAborted> {
-    let world = NetWorld::build(topology, config);
+    let (world, events) = drive(NetWorld::build(topology, config), config, Some(watchdog))?;
+    Ok(RunResult::collect(world, config.measure, events))
+}
+
+/// The classic engine's run lifecycle, shared by every entry point: primes
+/// the built `world`, runs the warm-up window, resets the counters, runs
+/// the measurement window — all under `watchdog` when one is given — and
+/// hands back the world with the number of events processed, ready to be
+/// collected.
+pub(crate) fn drive(
+    world: NetWorld,
+    config: &SimConfig,
+    watchdog: Option<Watchdog>,
+) -> Result<(NetWorld, u64), RunAborted> {
     let mut sim = Simulation::new(world);
-    sim.set_watchdog(Some(watchdog));
+    sim.set_watchdog(watchdog);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.prime(sched);
@@ -108,10 +111,9 @@ pub fn run_guarded(
     let warmup_end = SimTime::ZERO + config.warmup;
     sim.try_run_until(warmup_end)?;
     sim.world_mut().reset_counters();
-    let end = warmup_end + config.measure;
-    sim.try_run_until(end)?;
+    sim.try_run_until(warmup_end + config.measure)?;
     let events = sim.events_processed();
-    Ok(RunResult::collect(sim.into_world(), config.measure, events))
+    Ok((sim.into_world(), events))
 }
 
 #[cfg(test)]

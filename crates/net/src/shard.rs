@@ -162,7 +162,7 @@ impl ShardNetWorld {
         };
         let NetWorld {
             channel,
-            geometry,
+            plan,
             macs,
             phys,
             rngs,
@@ -180,7 +180,7 @@ impl ShardNetWorld {
             sim,
             phy: &mut phys[node.0],
             channel,
-            plan: geometry.static_plan(),
+            plan,
             params,
             rng: &mut rngs[node.0],
             next_signal,
@@ -271,8 +271,7 @@ impl ShardWorld for ShardNetWorld {
                     if !self.owns(dst) {
                         continue; // the owner shard handles its own copy
                     }
-                    let (heading, distance) =
-                        self.world.geometry.static_plan().arrival_geometry(dst, src);
+                    let (heading, distance) = self.world.plan.arrival_geometry(dst, src);
                     let became_busy =
                         self.world.phys[dst.0].signal_arrives_at(id, heading, distance, end);
                     if became_busy {
@@ -611,10 +610,7 @@ impl ShardedNetSim {
             lookahead > SimDuration::ZERO,
             "sharded execution needs a positive propagation delay for lookahead"
         );
-        let partition = Arc::new(RegionPartition::striped(
-            first.geometry.static_plan().grid(),
-            shards,
-        ));
+        let partition = Arc::new(RegionPartition::striped(first.plan.grid(), shards));
         let n = topology.len();
         let mut worlds = Vec::with_capacity(shards as usize);
         worlds.push(first);
@@ -791,14 +787,7 @@ pub fn run_sharded(
     shards: u32,
     workers: usize,
 ) -> RunResult {
-    let mut sim = ShardedNetSim::build(topology, config, shards);
-    sim.prime();
-    let warmup_end = SimTime::ZERO + config.warmup;
-    sim.run_until(warmup_end, workers);
-    sim.reset_counters();
-    let end = warmup_end + config.measure;
-    sim.run_until(end, workers);
-    sim.into_result(config.measure)
+    drive_sharded(topology, config, shards, workers, None).unwrap_or_else(|abort| panic!("{abort}"))
 }
 
 /// Like [`run_sharded`], but the whole run executes under `watchdog`; a
@@ -818,14 +807,26 @@ pub fn run_sharded_guarded(
     workers: usize,
     watchdog: Watchdog,
 ) -> Result<RunResult, RunAborted> {
+    drive_sharded(topology, config, shards, workers, Some(watchdog))
+}
+
+/// The sharded engine's run lifecycle, shared by both entry points:
+/// build, prime, warm-up, counter reset, measurement — under `watchdog`
+/// when one is given — and the merged result.
+fn drive_sharded(
+    topology: &Topology,
+    config: &SimConfig,
+    shards: u32,
+    workers: usize,
+    watchdog: Option<Watchdog>,
+) -> Result<RunResult, RunAborted> {
     let mut sim = ShardedNetSim::build(topology, config, shards);
-    sim.set_watchdog(Some(watchdog));
+    sim.set_watchdog(watchdog);
     sim.prime();
     let warmup_end = SimTime::ZERO + config.warmup;
     sim.try_run_until(warmup_end, workers)?;
     sim.reset_counters();
-    let end = warmup_end + config.measure;
-    sim.try_run_until(end, workers)?;
+    sim.try_run_until(warmup_end + config.measure, workers)?;
     Ok(sim.into_result(config.measure))
 }
 

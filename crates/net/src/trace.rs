@@ -14,7 +14,7 @@
 
 pub use dirca_trace::{Json, MetricsRegistry, RecordKind, RingTrace, TraceRecord};
 
-use dirca_sim::{SimTime, Simulation, Watchdog};
+use dirca_sim::Watchdog;
 use dirca_topology::Topology;
 
 use crate::{NetWorld, RunResult, SimConfig};
@@ -34,25 +34,10 @@ pub fn run_traced(
 ) -> (RunResult, RingTrace) {
     let mut world = NetWorld::build(topology, config);
     world.attach_recorder(RingTrace::with_capacity(capacity));
-    let mut sim = Simulation::new(world);
-    {
-        let (world, sched) = sim.world_and_scheduler_mut();
-        world.prime(sched);
-    }
-    let warmup_end = SimTime::ZERO + config.warmup;
-    sim.run_until(warmup_end);
-    sim.world_mut().reset_counters();
-    let end = warmup_end + config.measure;
-    sim.run_until(end);
-    let events = sim.events_processed();
-    let trace = sim
-        .world_mut()
-        .take_recorder()
-        .expect("recorder was attached above");
-    (
-        RunResult::collect(sim.into_world(), config.measure, events),
-        trace,
-    )
+    let (mut world, events) =
+        crate::drive(world, config, None).unwrap_or_else(|abort| panic!("{abort}"));
+    let trace = world.take_recorder().expect("recorder was attached above");
+    (RunResult::collect(world, config.measure, events), trace)
 }
 
 /// Folds `result` into a metrics registry: handshake counters, airtime and

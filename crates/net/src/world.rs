@@ -5,11 +5,10 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use dirca_geometry::Angle;
 use dirca_mac::{DataPacket, DcfMac, Dot11Params, Frame, FrameKind, MacContext, TimerKind};
 use dirca_radio::{
-    AntennaPattern, Channel, CompiledFaults, CoveragePlan, DynamicCoveragePlan, InvalidationStats,
-    NodeId, ReceptionMode, SignalId, SinrPhy, Transceiver,
+    AntennaPattern, Channel, CompiledFaults, CoveragePlan, InvalidationStats, NodeId,
+    ReceptionMode, SignalId, SinrPhy, Transceiver,
 };
 use dirca_sim::{
     rng::{derive_seed, stream_rng},
@@ -180,89 +179,14 @@ pub(crate) struct FaultState {
     pub(crate) rngs: Vec<SmallRng>,
 }
 
-/// Runtime mobility state: the trajectory model plus the incrementally
-/// invalidated coverage plan it drives.
+/// Runtime mobility state: the trajectory model that moves the nodes, and
+/// how often it does.
 #[derive(Debug)]
 pub(crate) struct MobilityRuntime {
     /// The evolving node positions (seeded from `MOBILITY_STREAM_SALT`).
     pub(crate) state: MobilityState,
-    /// Coverage queries over the *current* positions, refreshed
-    /// incrementally each epoch (see [`DynamicCoveragePlan::apply_moves`]).
-    pub(crate) plan: DynamicCoveragePlan,
     /// Position epoch length.
     pub(crate) epoch: SimDuration,
-}
-
-/// The coverage plan a run answers spatial queries from: the immutable
-/// [`CoveragePlan`] for the paper's static scenarios, or the mobility
-/// runtime whose [`DynamicCoveragePlan`] tracks the moving positions. Both
-/// plans answer every query with the same predicates and expressions, so
-/// the methods below are the one place a query picks its plan.
-#[derive(Debug)]
-pub(crate) enum Geometry {
-    Static(CoveragePlan),
-    Mobile(MobilityRuntime),
-}
-
-/// Evaluates `$body` with `$plan` bound to whichever plan `$geometry`
-/// holds (the two plans share their query method names).
-macro_rules! with_plan {
-    ($geometry:expr, $plan:ident => $body:expr) => {
-        match $geometry {
-            Geometry::Static($plan) => $body,
-            Geometry::Mobile(MobilityRuntime { plan: $plan, .. }) => $body,
-        }
-    };
-}
-
-impl Geometry {
-    /// The omni neighbourhood of `id`, ascending by id.
-    fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        with_plan!(self, plan => plan.neighbors(id))
-    }
-
-    /// The footprint of a beam from `src` aimed at `aim`, ascending by id.
-    fn directional_coverage_into(&self, src: NodeId, aim: NodeId, out: &mut Vec<NodeId>) {
-        with_plan!(self, plan => plan.directional_coverage_into(src, aim, out))
-    }
-
-    /// The strict traffic adjacency of `id`, ascending by id.
-    fn adjacency_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        with_plan!(self, plan => plan.adjacency_into(id, out))
-    }
-
-    /// The bearing and distance of a signal arriving at `dst` from `src`.
-    fn arrival_geometry(&self, dst: NodeId, src: NodeId) -> (Angle, f64) {
-        with_plan!(self, plan => plan.arrival_geometry(dst, src))
-    }
-
-    /// Bearing `from` → `to`.
-    fn heading(&self, from: NodeId, to: NodeId) -> Angle {
-        with_plan!(self, plan => plan.heading(from, to))
-    }
-
-    /// Distance between two nodes.
-    fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        with_plan!(self, plan => plan.distance(a, b))
-    }
-
-    /// Whether positions move during the run.
-    fn is_mobile(&self) -> bool {
-        matches!(self, Geometry::Mobile(_))
-    }
-
-    /// The immutable plan of a static run.
-    ///
-    /// # Panics
-    ///
-    /// Panics under mobility; only the sharded engine calls this, and it
-    /// rejects mobility configurations before building a world.
-    pub(crate) fn static_plan(&self) -> &CoveragePlan {
-        match self {
-            Geometry::Static(plan) => plan,
-            Geometry::Mobile(_) => panic!("a mobile run has no static coverage plan"),
-        }
-    }
 }
 
 /// Runtime SINR-PHY state: the capture/path-loss knobs, the compiled
@@ -299,8 +223,11 @@ pub(crate) enum FaultVerdict {
 #[derive(Debug)]
 pub struct NetWorld {
     pub(crate) channel: Channel,
-    /// Spatial queries over the positions in force (static or mobile).
-    pub(crate) geometry: Geometry,
+    /// Spatial queries over the positions in force; refreshed each
+    /// position epoch under mobility.
+    pub(crate) plan: CoveragePlan,
+    /// The mobility model moving the nodes (`None` for a static run).
+    pub(crate) mobility: Option<MobilityRuntime>,
     pub(crate) macs: Vec<DcfMac>,
     pub(crate) phys: Vec<Transceiver>,
     pub(crate) rngs: Vec<SmallRng>,
@@ -394,26 +321,16 @@ impl NetWorld {
         // performs no draws at all and its epochs move nothing, so the run
         // stays byte-identical to a mobility-free one (the golden anchor
         // in tests/mobility_golden.rs).
-        let geometry = match config.mobility {
-            None => Geometry::Static(CoveragePlan::new(&channel, config.beamwidth)),
-            Some(m) => {
-                let radius = MobilityState::field_radius(&topology.positions, topology.range);
-                Geometry::Mobile(MobilityRuntime {
-                    state: MobilityState::new(
-                        m.model,
-                        &topology.positions,
-                        radius,
-                        derive_seed(config.seed, MOBILITY_STREAM_SALT),
-                    ),
-                    plan: DynamicCoveragePlan::new(
-                        channel.positions(),
-                        channel.range(),
-                        config.beamwidth,
-                    ),
-                    epoch: m.epoch,
-                })
-            }
-        };
+        let plan = CoveragePlan::new(&channel, config.beamwidth);
+        let mobility = config.mobility.map(|m| MobilityRuntime {
+            state: MobilityState::new(
+                m.model,
+                &topology.positions,
+                MobilityState::field_radius(&topology.positions, topology.range),
+                derive_seed(config.seed, MOBILITY_STREAM_SALT),
+            ),
+            epoch: m.epoch,
+        });
         // Traffic adjacency via the plan's grid (O(n · density)), replacing
         // the O(n²) `Topology::adjacency` scan; the strict `d² ≤ R²`
         // predicate and ascending order are preserved bit for bit.
@@ -421,7 +338,7 @@ impl NetWorld {
             let mut adj = Vec::with_capacity(n);
             let mut row: Vec<NodeId> = Vec::new();
             for i in 0..n {
-                geometry.adjacency_into(NodeId(i), &mut row);
+                plan.adjacency_into(NodeId(i), &mut row);
                 adj.push(row.iter().map(|id| id.0).collect());
             }
             adj
@@ -465,7 +382,8 @@ impl NetWorld {
         });
         NetWorld {
             channel,
-            geometry,
+            plan,
+            mobility,
             macs,
             phys,
             rngs,
@@ -557,7 +475,7 @@ impl NetWorld {
         // build time, and node ids come from the topology/coverage plan, so
         // id-indexed access is infallible.
         sched.reserve(self.expected_events);
-        if let Geometry::Mobile(m) = &self.geometry {
+        if let Some(m) = &self.mobility {
             sched.schedule_in(m.epoch, NetEvent::MobilityEpoch);
         }
         match self.traffic {
@@ -628,10 +546,7 @@ impl NetWorld {
     /// epoch counter: re-bins and rebuilds stay at exactly zero (the
     /// counter-asserted golden regression).
     pub fn invalidation_stats(&self) -> Option<InvalidationStats> {
-        match &self.geometry {
-            Geometry::Static(_) => None,
-            Geometry::Mobile(m) => Some(m.plan.stats()),
-        }
+        self.mobility.as_ref().map(|_| self.plan.stats())
     }
 
     /// Dispatches a MAC callback for `node` with a fully wired context.
@@ -814,11 +729,9 @@ impl NetWorld {
     /// (aimed at `aim` when `directional`), in ascending id order, under
     /// the binary footprint rule — also the SINR PHY's candidate set.
     ///
-    /// The static plan serves neighbour aims from its cached footprints
-    /// and any other aim with an O(deg) sector filter of the transmitter's
-    /// neighbour slice; under mobility the dynamic plan filters for every
-    /// aim over the current positions. No allocation beyond `out`'s
-    /// capacity.
+    /// The plan filters the transmitter's neighbour slice against its
+    /// cached edge bearings, O(deg) per aim, over the positions in force.
+    /// No allocation beyond `out`'s capacity.
     pub(crate) fn fill_wave_targets(
         &self,
         src: NodeId,
@@ -827,10 +740,10 @@ impl NetWorld {
         out: &mut Vec<NodeId>,
     ) {
         if directional {
-            self.geometry.directional_coverage_into(src, aim, out);
+            self.plan.directional_coverage_into(src, aim, out);
         } else {
             out.clear();
-            out.extend_from_slice(self.geometry.neighbors(src));
+            out.extend_from_slice(self.plan.neighbors(src));
         }
     }
 
@@ -864,11 +777,11 @@ impl NetWorld {
             // on every candidate: nothing is filtered.
             return;
         }
-        let boresight = self.geometry.heading(src, aim);
+        let boresight = self.plan.heading(src, aim);
         out.retain(|&dst| {
-            let dist = self.geometry.distance(src, dst);
+            let dist = self.plan.distance(src, dst);
             s.pattern.tx_gain(
-                boresight.separation(self.geometry.heading(src, dst)),
+                boresight.separation(self.plan.heading(src, dst)),
                 dist * dist,
             ) > 0.0
         });
@@ -905,8 +818,8 @@ impl NetWorld {
             .phy
             .is_ideal_pattern();
         self.fill_wave_targets(src, aim, directional && ideal, out);
-        let boresight = directional.then(|| self.geometry.heading(src, aim));
-        let NetWorld { geometry, sinr, .. } = self;
+        let boresight = directional.then(|| self.plan.heading(src, aim));
+        let NetWorld { plan, sinr, .. } = self;
         let s = sinr
             .as_mut()
             .expect("SINR wave fill without a SINR runtime");
@@ -914,7 +827,7 @@ impl NetWorld {
         let mut kept = 0;
         for i in 0..out.len() {
             let dst = out[i];
-            let dist = geometry.distance(src, dst);
+            let dist = plan.distance(src, dst);
             let gain = match boresight {
                 // Ideal sector: the candidate set *is* the main lobe
                 // (flat at main_gain, apex rule included), so the support
@@ -923,7 +836,7 @@ impl NetWorld {
                 Some(_) if ideal => s.phy.main_gain,
                 Some(b) => s
                     .pattern
-                    .tx_gain(b.separation(geometry.heading(src, dst)), dist * dist),
+                    .tx_gain(b.separation(plan.heading(src, dst)), dist * dist),
                 // Omni transmissions radiate the main-lobe gain
                 // isotropically.
                 None => s.phy.main_gain,
@@ -954,20 +867,21 @@ impl NetWorld {
         touched.clear();
         let epoch = {
             let NetWorld {
-                geometry,
+                plan,
+                mobility,
                 neighbors,
                 ..
             } = self;
             // panic-path: the event is only ever scheduled when a mobility
             // runtime exists (prime and this reschedule both guard on it).
-            let Geometry::Mobile(m) = geometry else {
-                panic!("mobility epoch without a mobility runtime");
-            };
+            let m = mobility
+                .as_mut()
+                .expect("mobility epoch without a mobility runtime");
             let moves = m.state.step(m.epoch.as_secs_f64());
-            touched.extend_from_slice(m.plan.apply_moves(moves));
+            touched.extend_from_slice(plan.apply_moves(moves));
             let mut row: Vec<NodeId> = Vec::new();
             for &id in &touched {
-                m.plan.adjacency_into(id, &mut row);
+                plan.adjacency_into(id, &mut row);
                 let slot = &mut neighbors[id.0];
                 slot.clear();
                 slot.extend(row.iter().map(|n| n.0));
@@ -1027,7 +941,7 @@ impl World for NetWorld {
                     let powers =
                         std::mem::take(&mut self.sinr.as_mut().expect("SINR runtime").powers);
                     for (i, &dst) in wave.iter().enumerate() {
-                        let (heading, distance) = self.geometry.arrival_geometry(dst, src);
+                        let (heading, distance) = self.plan.arrival_geometry(dst, src);
                         let became_busy = self.phys[dst.0]
                             .signal_arrives_powered(id, heading, distance, powers[i], end);
                         if became_busy {
@@ -1038,7 +952,7 @@ impl World for NetWorld {
                 } else {
                     self.fill_wave_targets(src, frame.dst, directional, &mut wave);
                     for &dst in &wave {
-                        let (heading, distance) = self.geometry.arrival_geometry(dst, src);
+                        let (heading, distance) = self.plan.arrival_geometry(dst, src);
                         let became_busy =
                             self.phys[dst.0].signal_arrives_at(id, heading, distance, end);
                         if became_busy {
@@ -1046,7 +960,7 @@ impl World for NetWorld {
                         }
                     }
                 }
-                if self.geometry.is_mobile() {
+                if self.mobility.is_some() {
                     // Pin the walked footprint: the trailing edge must
                     // visit exactly these receivers even if an epoch moves
                     // nodes while the frame is on the air.
@@ -1061,7 +975,7 @@ impl World for NetWorld {
                 directional,
             } => {
                 let mut wave = std::mem::take(&mut self.scratch);
-                if self.geometry.is_mobile() {
+                if self.mobility.is_some() {
                     // panic-path: every WaveStart under mobility pins its
                     // footprint before the trailing edge can fire.
                     let stored = self

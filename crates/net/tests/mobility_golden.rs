@@ -7,16 +7,18 @@
 //! battery also pins the three-scheme coincidence at θ = 360° (where
 //! directional and omni transmissions are the same physical footprint,
 //! with or without SINR capture), determinism of genuinely mobile runs,
-//! recorded hashes of three genuinely mobile traces (random waypoint with
-//! the binary PHY and with a leaky SINR pattern, and RPGM), and the
+//! recorded hashes of seven genuinely mobile traces (random waypoint with
+//! the binary PHY, a leaky SINR pattern, directional and capture
+//! reception, injected faults, and under DRTS-OCTS; and RPGM), and the
 //! zero-cache-work contract of speed-0 position epochs.
 
 // Byte-identical runs are the point: exact float equality is intended.
 #![allow(clippy::float_cmp)]
 
+use dirca_geometry::Beamwidth;
 use dirca_mac::Scheme;
-use dirca_net::{run, NetWorld, SimConfig};
-use dirca_radio::SinrPhy;
+use dirca_net::{run, FaultPlan, NetWorld, SimConfig};
+use dirca_radio::{NodeId, ReceptionMode, SinrPhy};
 use dirca_sim::rng::stream_rng;
 use dirca_sim::{SimDuration, SimTime, Simulation};
 use dirca_topology::{MobilityModel, RingSpec};
@@ -188,28 +190,78 @@ fn groups() -> MobilityModel {
     }
 }
 
-/// Genuinely mobile ring runs (DRTS-DCTS, θ = 30°, 5 ms epochs), pinned by
-/// FNV-1a hashes recorded on the tree whose mobile plan still cached
-/// per-edge geometry and footprints — any change to how the mobile plan
-/// answers queries must leave these traces untouched.
+/// Genuinely mobile ring runs (θ = 30°, 5 ms epochs; DRTS-DCTS unless a
+/// row names another scheme), pinned by FNV-1a hashes recorded on trees
+/// that served moving geometry from a separate mobile plan — any change to
+/// how the coverage plan answers queries for moving nodes must leave these
+/// traces untouched. The rows reach every mobile query path: arrival
+/// bearing (directional reception), arrival distance (capture), the fault
+/// layer, and omni plus directional waves in one run (DRTS-OCTS).
 #[test]
 fn mobile_traces_reproduce_recorded_hashes() {
     let epoch = SimDuration::from_millis(5);
     let leaky = SinrPhy::ideal().with_side_floor(0.2).with_margin(0.2);
+    let directional_rx = ReceptionMode::Directional {
+        beamwidth: Beamwidth::from_degrees(30.0).expect("valid beamwidth"),
+    };
+    let faults = FaultPlan::default().with_frame_error_rate(0.1).with_outage(
+        NodeId(0),
+        SimTime::from_millis(100),
+        SimTime::from_millis(200),
+    );
     type Mutate<'a> = &'a dyn Fn(SimConfig) -> SimConfig;
-    let runs: [(&str, u64, Mutate); 3] = [
-        ("random waypoint, binary PHY", 0x9a8f_ec5f_818f_0fe0, &|c| {
-            c.with_mobility(walkers(), epoch)
-        }),
-        ("random waypoint, leaky SINR", 0x7af6_a1d0_2de6_da7d, &|c| {
-            c.with_mobility(walkers(), epoch).with_sinr(leaky)
-        }),
-        ("RPGM, binary PHY", 0x2a37_0bfd_ada6_d55c, &|c| {
-            c.with_mobility(groups(), epoch)
-        }),
+    let runs: [(&str, Scheme, u64, Mutate); 7] = [
+        (
+            "random waypoint, binary PHY",
+            Scheme::DrtsDcts,
+            0x9a8f_ec5f_818f_0fe0,
+            &|c| c.with_mobility(walkers(), epoch),
+        ),
+        (
+            "random waypoint, leaky SINR",
+            Scheme::DrtsDcts,
+            0x7af6_a1d0_2de6_da7d,
+            &|c| c.with_mobility(walkers(), epoch).with_sinr(leaky),
+        ),
+        (
+            "RPGM, binary PHY",
+            Scheme::DrtsDcts,
+            0x2a37_0bfd_ada6_d55c,
+            &|c| c.with_mobility(groups(), epoch),
+        ),
+        (
+            "random waypoint, directional reception",
+            Scheme::DrtsDcts,
+            0x0742_1ea3_1d63_cfa5,
+            &|c| {
+                c.with_mobility(walkers(), epoch)
+                    .with_reception(directional_rx)
+            },
+        ),
+        (
+            "random waypoint, capture reception",
+            Scheme::DrtsDcts,
+            0x4da7_332a_7930_cc3c,
+            &|c| {
+                c.with_mobility(walkers(), epoch)
+                    .with_reception(ReceptionMode::Capture { ratio: 1.5 })
+            },
+        ),
+        (
+            "random waypoint, frame errors and an outage",
+            Scheme::DrtsDcts,
+            0xed37_ac74_d6b7_0f69,
+            &|c| c.with_mobility(walkers(), epoch).with_fault(faults.clone()),
+        ),
+        (
+            "random waypoint, DRTS-OCTS",
+            Scheme::DrtsOcts,
+            0xd5be_6ebf_e30c_2571,
+            &|c| c.with_mobility(walkers(), epoch),
+        ),
     ];
-    for (label, want, mutate) in runs {
-        let got = ring_trace_hash(Scheme::DrtsDcts, 7, mutate);
+    for (label, scheme, want, mutate) in runs {
+        let got = ring_trace_hash(scheme, 7, mutate);
         assert_eq!(got, want, "{label}: the mobile trace changed");
     }
 }

@@ -1,54 +1,109 @@
-//! Grid-backed coverage plans for static geometry.
+//! The coverage plan: every spatial answer the per-frame hot path needs,
+//! for static and moving fields alike.
 //!
-//! Node positions, the range `R`, and the beamwidth θ are immutable for
-//! the lifetime of a simulation run, yet the per-frame transmit path asks
-//! the same spatial questions — who does this beam cover, and from which
-//! bearing does the energy arrive — millions of times. The original plan
-//! answered them from dense pairwise matrices: perfect at the paper's
-//! 30–130 nodes, fatal at 100k (10¹⁰ entries). A [`CoveragePlan`] now
-//! rests on a [`SpatialGrid`] (cell edge ≥ the coverage reach), so both
-//! construction and queries touch only the 3×3 cell neighbourhood of the
-//! transmitter:
+//! The per-frame transmit path asks the same spatial questions — who does
+//! this beam cover, and from which bearing and distance does the energy
+//! arrive — millions of times. The original plan answered them from dense
+//! pairwise matrices: perfect at the paper's 30–130 nodes, fatal at 100k
+//! (10¹⁰ entries). A [`CoveragePlan`] rests on a [`SpatialGrid`] (cell
+//! edge ≥ the coverage reach), so both construction and queries touch
+//! only the 3×3 cell neighbourhood of the transmitter. Per node it caches:
 //!
-//! * **Omni neighbour lists** are materialised once per node from the
-//!   grid's candidate superset — O(n · local density) build, O(n) total
-//!   memory — and served as borrowed id-sorted slices, allocation-free.
-//! * **Distance and bearing** are computed once per *edge* (per omni
-//!   arena slot) with the *same expressions* the reference [`Channel`]
-//!   evaluates, and cached: results are bit-identical to the old cached
-//!   matrices without the O(n²) storage; arbitrary-pair queries compute on
-//!   demand.
-//! * **Directional footprints** are precomputed per edge, not per node
-//!   pair: a beam shares the omni disk's exact distance bound
-//!   (`Sector::contains` and `TxPattern::covers` both test
-//!   `d² ≤ R² + EPSILON`), so every aimable footprint is a filter of the
-//!   transmitter's omni slice. The filter compares the cached bearings
-//!   against the aim's cached bearing (`Beamwidth::covers_bearing`, the
-//!   sector's own angular test), so the build does O(Σ deg) trigonometry
-//!   and O(Σ deg²) comparisons — linear in n at fixed density — instead of
-//!   the old n² range matrix. Lookup is a binary search of the id-sorted
-//!   neighbour slice. Aims at out-of-neighbourhood destinations (which a
-//!   MAC never produces) are filtered on the fly with the same predicate.
+//! * the **omni neighbour list**, ascending by id, materialised from the
+//!   grid's candidate superset with the reference omni predicate
+//!   (`d² ≤ R² + EPSILON`) and served as a borrowed slice;
+//! * next to it, the **bearing and squared distance of each edge**,
+//!   computed once per edge with the *same expressions* the reference
+//!   [`Channel`] evaluates.
+//!
+//! Every query is answered from those caches:
+//!
+//! * **Arrival geometry** is one binary search of the receiver's list
+//!   plus the cached pair (the distance is the square root of the cached
+//!   square, which is exactly how [`Channel::distance`] computes it);
+//!   non-neighbours fall back to computing both on the spot.
+//! * **Directional footprints** filter the transmitter's omni list per
+//!   query through `beam_covers_neighbor` on the cached bearings: a beam
+//!   shares the omni disk's exact distance bound (`Sector::contains` and
+//!   `TxPattern::covers` both test `d² ≤ R² + EPSILON`), so every
+//!   footprint is a subset of the omni list and the filter preserves its
+//!   ascending order — O(deg) comparisons, no trigonometry.
 //! * **Strict adjacency** (`d² ≤ R²`, for traffic generation) filters the
-//!   omni slice, a superset that is already sorted.
+//!   list on the cached squared distances.
+//!
+//! # Moving nodes
+//!
+//! A static run is a plan that never receives [`CoveragePlan::apply_moves`].
+//! Under mobility each position epoch refreshes the caches
+//! *incrementally*:
+//!
+//! 1. **Re-bin only the movers.** Each moved node is moved between grid
+//!    buckets ([`SpatialGrid::rebin`]); unmoved nodes are never touched.
+//! 2. **Rebuild only the affected 3×3 blocks.** A node's caches depend
+//!    only on positions within the coverage reach of it, and the grid's
+//!    cell edge ≥ reach, so the caches that can change are exactly the
+//!    occupants of the 3×3 cell blocks around each mover's old and new
+//!    cells. Those are collected (after re-binning, so movers are found
+//!    via their new cells and unmoved witnesses via the old blocks),
+//!    deduplicated, and rebuilt in ascending id order — list and edge
+//!    geometry together, never the whole plan.
+//!
+//! An empty move list does **zero** cache work: no re-bins, no rebuilds.
+//! The counters in [`InvalidationStats`] make that auditable — the
+//! regressions in `tests/dynamic_plan.rs` assert that zero-motion epochs
+//! leave both counters at exactly zero (counter-asserted, not timed), and
+//! the equivalence proptest pins that after any sequence of epochs the
+//! incrementally-maintained plan equals a from-scratch build field for
+//! field.
+//!
+//! # Equivalence and determinism
 //!
 //! Every query is equal to its reference implementation
 //! ([`Channel::covered_by`] / [`Channel::heading`] /
 //! [`Channel::distance`]) by construction: the grid only ever *widens*
 //! the candidate superset, the filters are the exact reference
-//! predicates, and every emitted slice is ascending by id. The property
-//! tests in `tests/coverage_plan.rs` and `tests/spatial_grid.rs` pin that
-//! equivalence across random and adversarial topologies and beamwidths.
+//! predicates, and every emitted slice is ascending by id. Buckets are
+//! id-sorted and the affected set of an epoch is sorted before
+//! rebuilding, so a plan's contents are a pure function of `(initial
+//! positions, move history)`. The property tests in
+//! `tests/coverage_plan.rs`, `tests/spatial_grid.rs` and
+//! `tests/dynamic_plan.rs` pin that equivalence across random, adversarial
+//! and moving topologies and beamwidths.
 
-use dirca_geometry::{Angle, Beamwidth, EPSILON};
+use dirca_geometry::{Angle, Beamwidth, Point, EPSILON};
 
 use crate::channel::{Channel, TxPattern};
 use crate::spatial::SpatialGrid;
 use crate::NodeId;
 
-/// Precomputed spatial tables for one immutable [`Channel`] + beamwidth,
-/// backed by a uniform-grid index — O(n) memory, O(local density) per
-/// query.
+/// Counters for the incremental-invalidation work the position epochs of
+/// a plan performed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct InvalidationStats {
+    /// Number of [`CoveragePlan::apply_moves`] calls.
+    pub epochs: u64,
+    /// Nodes moved between grid buckets.
+    pub rebins: u64,
+    /// Per-node caches rebuilt: one rebuild refreshes one node's
+    /// neighbour list and its edge geometry.
+    pub rebuilds: u64,
+}
+
+/// One node's cached spatial answers.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct NodeCache {
+    /// Omni neighbourhood, ascending by id (the `d² ≤ R² + EPSILON`
+    /// coverage predicate).
+    neighbors: Vec<NodeId>,
+    /// `edges[i]` is the bearing from the owner toward `neighbors[i]` and
+    /// the squared distance between them.
+    edges: Vec<(Angle, f64)>,
+}
+
+/// Spatial tables for one set of node positions, range and beamwidth,
+/// backed by a uniform-grid index — O(n · local density) memory and
+/// build, O(local density) per query — and kept current under mobility by
+/// [`CoveragePlan::apply_moves`].
 ///
 /// # Example
 ///
@@ -63,7 +118,7 @@ use crate::NodeId;
 ///     SimDuration::from_micros(1),
 /// )?;
 /// let beam = Beamwidth::from_degrees(30.0).unwrap();
-/// let plan = CoveragePlan::new(&chan, beam);
+/// let mut plan = CoveragePlan::new(&chan, beam);
 /// // Omni neighbourhoods match the reference query...
 /// assert_eq!(plan.neighbors(NodeId(0)), &[NodeId(1), NodeId(2)]);
 /// // ...and so does the footprint of a beam aimed 0 → 1.
@@ -76,146 +131,82 @@ use crate::NodeId;
 ///     plan.directional_coverage(NodeId(0), NodeId(1)),
 ///     chan.covered_by(NodeId(0), aimed)?,
 /// );
+/// // Node 2 walks out of range: only its old neighbourhood is rebuilt.
+/// plan.apply_moves(&[(2, Point::new(0.0, 3.0))]);
+/// assert_eq!(plan.neighbors(NodeId(0)), &[NodeId(1)]);
 /// # Ok::<(), dirca_radio::ChannelError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoveragePlan {
-    /// Node positions, identical to the channel's (`positions[id]`).
-    positions: Vec<dirca_geometry::Point>,
-    /// The channel's transmission range `R`.
+    /// The current node positions (`positions[id]`).
+    positions: Vec<Point>,
+    /// The transmission range `R`.
     range: f64,
     beamwidth: Beamwidth,
     /// Uniform grid over `positions` with cell edge ≥ the coverage reach.
     grid: SpatialGrid,
-    /// `n + 1` arena offsets delimiting each node's omni neighbour slice.
-    omni_offsets: Vec<u32>,
-    /// The shared slice arena: omni neighbour lists first (ascending id
-    /// order within each slice), directional footprints appended after.
-    arena: Vec<NodeId>,
-    /// Per-edge distance cache: `edge_dist[slot]` is the distance between
-    /// a slice's owner and `arena[slot]`, for every omni arena slot.
-    edge_dist: Vec<f64>,
-    /// Per-edge arrival-bearing cache: `edge_heading[slot]` is the
-    /// heading from a slice's owner *toward* `arena[slot]`.
-    edge_heading: Vec<Angle>,
-    /// Per-edge directional footprint ranges into `arena` for the aim
-    /// (owner → `arena[slot]`); aliases the owner's omni slice when the
-    /// beam covers the whole neighbourhood.
-    dir_ranges: Vec<(u32, u32)>,
+    /// Per-node caches, position-parallel.
+    nodes: Vec<NodeCache>,
+    stats: InvalidationStats,
+    /// Scratch: affected node ids of the current epoch (kept across calls
+    /// to avoid reallocation; returned as a slice from `apply_moves`).
+    affected: Vec<NodeId>,
+}
+
+impl PartialEq for CoveragePlan {
+    /// Field-for-field cache equality: positions, build parameters and
+    /// every per-node cache. Work counters and grid bounding boxes are
+    /// excluded — two plans built over different move histories
+    /// legitimately differ there while serving identical answers.
+    fn eq(&self, other: &Self) -> bool {
+        self.positions == other.positions
+            && self.range.to_bits() == other.range.to_bits()
+            && self.beamwidth == other.beamwidth
+            && self.nodes == other.nodes
+    }
 }
 
 impl CoveragePlan {
-    /// Builds the plan for `channel` with directional sets computed at
-    /// `beamwidth`.
+    /// Builds the plan for `channel`'s positions and range with
+    /// directional footprints filtered at `beamwidth`.
     ///
-    /// Cost: O(n · local density) time for the grid and omni lists, one
-    /// distance and one bearing per edge, and O(Σ deg²) angle comparisons
-    /// (no trigonometry) for the per-edge directional footprints — linear
-    /// in n at fixed density, never pairwise-quadratic.
+    /// Cost: O(n · local density) time for the grid and the omni lists,
+    /// plus one bearing and one squared distance per edge — linear in n at
+    /// fixed density, never pairwise-quadratic.
+    pub fn new(channel: &Channel, beamwidth: Beamwidth) -> Self {
+        Self::from_positions(channel.positions().to_vec(), channel.range(), beamwidth)
+    }
+
+    /// Builds the plan over `positions` from scratch.
     ///
     /// # Panics
     ///
-    /// Panics if the channel holds ≥ `u32::MAX` nodes (the arena uses
-    /// 32-bit offsets; a simulated channel is orders of magnitude smaller).
-    pub fn new(channel: &Channel, beamwidth: Beamwidth) -> Self {
-        let n = channel.len();
+    /// Panics unless `range` is positive and finite.
+    fn from_positions(positions: Vec<Point>, range: f64, beamwidth: Beamwidth) -> Self {
         assert!(
-            (n as u64) < u64::from(u32::MAX),
-            "coverage plan supports fewer than u32::MAX nodes"
+            range.is_finite() && range > 0.0,
+            "range must be positive and finite, got {range}"
         );
-        let positions = channel.positions().to_vec();
-        let range = channel.range();
         // The widest distance any coverage predicate accepts is
         // √(R² + EPSILON); the extra 1e-9 relative margin dwarfs the ulp
         // error of the grid's float cell arithmetic, so the 3×3 block is a
         // guaranteed superset of every acceptable candidate.
         let reach = (range * range + EPSILON).sqrt() * (1.0 + 1e-9);
         let grid = SpatialGrid::new(&positions, reach);
-
-        // Materialise each node's omni neighbourhood from the grid
-        // superset with the exact reference predicate, then sort: equal to
-        // `Channel::covered_by(src, Omni)` output by construction (same
-        // membership, and the reference emits ascending ids).
-        let mut arena: Vec<NodeId> = Vec::new();
-        let mut omni_offsets = Vec::with_capacity(n + 1);
-        omni_offsets.push(0u32);
-        let mut scratch: Vec<NodeId> = Vec::new();
-        for src in 0..n {
-            // panic-path: `src` iterates `0..n` over the same positions
-            // vector, so indexing cannot fail.
-            let origin = positions[src];
-            scratch.clear();
-            grid.for_each_candidate(origin, |id| {
-                if id.0 != src && TxPattern::Omni.covers(origin, range, positions[id.0]) {
-                    scratch.push(id);
-                }
-            });
-            scratch.sort_unstable();
-            arena.extend_from_slice(&scratch);
-            omni_offsets.push(arena_offset(arena.len()));
-        }
-        let edges = arena.len();
-
-        // Per-edge caches, indexed by omni arena slot: the distance and
-        // bearing from a slice's owner to the neighbour in that slot (the
-        // exact reference expressions, so values are bit-identical to
-        // `Channel::distance` / `Channel::heading`), each computed once per
-        // edge. The directional footprint of the beam aimed owner →
-        // neighbour then filters the owner's omni slice through
-        // `beam_covers_neighbor` against those cached bearings — no
-        // trigonometry per (aim, neighbour) pair — which yields exactly
-        // `Channel::covered_by` for the aimed pattern, ascending order
-        // preserved, in an O(Σ deg²) table instead of O(n²).
-        let mut edge_dist = Vec::with_capacity(edges);
-        let mut edge_heading = Vec::with_capacity(edges);
-        let mut dir_ranges = Vec::with_capacity(edges);
-        let mut dist_squared: Vec<f64> = Vec::new();
-        for src in 0..n {
-            let (lo, hi) = (omni_offsets[src], omni_offsets[src + 1]);
-            // panic-path: `src` iterates `0..n`, matching `positions`, and
-            // omni slots hold ids the plan indexed.
-            let origin = positions[src];
-            scratch.clear();
-            scratch.extend_from_slice(&arena[lo as usize..hi as usize]);
-            dist_squared.clear();
-            for &dst in &scratch {
-                let p = positions[dst.0];
-                dist_squared.push(origin.distance_squared(p));
-                edge_dist.push(origin.distance(p));
-                edge_heading.push(origin.heading_to(p));
-            }
-            let headings = &edge_heading[lo as usize..];
-            for &boresight in headings {
-                // Append the filtered footprint to the arena, then roll it
-                // back if the beam turned out to cover the whole
-                // neighbourhood (wide θ or a degenerate layout) — aliasing
-                // src's omni slice keeps the arena compact.
-                let start = arena.len();
-                for ((&p, &d2), &bearing) in scratch.iter().zip(&dist_squared).zip(headings) {
-                    if beam_covers_neighbor(beamwidth, boresight, d2, bearing) {
-                        arena.push(p);
-                    }
-                }
-                dir_ranges.push(if arena.len() - start == scratch.len() {
-                    arena.truncate(start);
-                    (lo, hi)
-                } else {
-                    (arena_offset(start), arena_offset(arena.len()))
-                });
-            }
-        }
-
-        CoveragePlan {
+        let mut plan = CoveragePlan {
+            nodes: vec![NodeCache::default(); positions.len()],
             positions,
             range,
             beamwidth,
             grid,
-            omni_offsets,
-            arena,
-            edge_dist,
-            edge_heading,
-            dir_ranges,
+            stats: InvalidationStats::default(),
+            affected: Vec::new(),
+        };
+        let mut scratch = Vec::new();
+        for id in 0..plan.positions.len() {
+            plan.rebuild_node(id, &mut scratch);
         }
+        plan
     }
 
     /// Number of nodes covered by the plan.
@@ -228,34 +219,132 @@ impl CoveragePlan {
         self.positions.is_empty()
     }
 
+    /// The current node positions.
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
     /// The beamwidth the directional footprints are filtered at.
     pub fn beamwidth(&self) -> Beamwidth {
         self.beamwidth
     }
 
-    /// The underlying spatial grid (sharding key for future
-    /// partitioned-execution work, and a diagnostic for tests).
+    /// The underlying spatial grid (the sharded engine's partition key,
+    /// and a diagnostic for tests).
     pub fn grid(&self) -> &SpatialGrid {
         &self.grid
     }
 
-    /// Total arena entries (a size diagnostic for tests and tooling).
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
+    /// The incremental-invalidation work counters since construction (all
+    /// zero for a plan that never received a position epoch).
+    pub fn stats(&self) -> InvalidationStats {
+        self.stats
     }
 
-    /// Approximate resident bytes of the whole plan: positions, the slice
-    /// arena + offsets, the per-edge caches, and the grid index. Grows
-    /// O(n + Σ deg²) — linear in n at fixed density, never O(n²).
+    /// Approximate resident bytes of the whole plan: positions, the
+    /// per-node lists and edge geometry, and the grid index. Grows
+    /// O(n + Σ deg) — linear in n at fixed density, never O(n²).
     pub fn index_bytes(&self) -> usize {
+        let cached: usize = self
+            .nodes
+            .iter()
+            .map(|c| {
+                c.neighbors.capacity() * std::mem::size_of::<NodeId>()
+                    + c.edges.capacity() * std::mem::size_of::<(Angle, f64)>()
+            })
+            .sum();
         std::mem::size_of::<Self>()
-            + self.positions.len() * std::mem::size_of::<dirca_geometry::Point>()
-            + self.omni_offsets.len() * std::mem::size_of::<u32>()
-            + self.arena.len() * std::mem::size_of::<NodeId>()
-            + self.edge_dist.len() * std::mem::size_of::<f64>()
-            + self.edge_heading.len() * std::mem::size_of::<Angle>()
-            + self.dir_ranges.len() * std::mem::size_of::<(u32, u32)>()
+            + self.positions.len() * std::mem::size_of::<Point>()
+            + self.nodes.len() * std::mem::size_of::<NodeCache>()
+            + cached
             + self.grid.index_bytes()
+    }
+
+    /// Applies one position epoch: `moves` is the ascending-by-index list
+    /// of `(node, new position)` pairs (the contract
+    /// `dirca_topology::MobilityState::step` upholds). Re-bins only the
+    /// movers and rebuilds only the caches whose 3×3 cell block changed;
+    /// an empty list does zero cache work (only the epoch counter ticks).
+    ///
+    /// Returns the affected node ids (ascending, deduplicated) — the
+    /// nodes whose caches were rebuilt, which callers use to refresh their
+    /// own derived per-node state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a move names an out-of-range node.
+    pub fn apply_moves(&mut self, moves: &[(usize, Point)]) -> &[NodeId] {
+        self.stats.epochs += 1;
+        self.affected.clear();
+        if moves.is_empty() {
+            return &self.affected;
+        }
+        // Phase 1: update positions and re-bin the movers, remembering
+        // each mover's old and new cells.
+        let mut blocks: Vec<(u32, u32)> = Vec::with_capacity(moves.len() * 2);
+        for &(id, new_pos) in moves {
+            assert!(
+                id < self.positions.len(),
+                "move names node {id} out of range"
+            );
+            let old_pos = std::mem::replace(&mut self.positions[id], new_pos);
+            if self.grid.rebin(NodeId(id), old_pos, new_pos) {
+                self.stats.rebins += 1;
+                blocks.push(self.grid.cell_of(new_pos));
+            }
+            blocks.push(self.grid.cell_of(old_pos));
+        }
+        // Phase 2: the caches that can change are exactly the occupants of
+        // the 3×3 blocks around each mover's old and new cells (collected
+        // *after* re-binning: movers are found via their new cells,
+        // unmoved witnesses of a departure via the old blocks). Sort and
+        // deduplicate both the blocks and the node set so shared cells are
+        // walked once and every cache rebuilds exactly once, ascending.
+        blocks.sort_unstable();
+        blocks.dedup();
+        let affected = &mut self.affected;
+        for &block in &blocks {
+            self.grid.for_each_in_block(block, |id| affected.push(id));
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        // Phase 3: rebuild in ascending id order.
+        let mut scratch = Vec::new();
+        for i in 0..self.affected.len() {
+            let id = self.affected[i];
+            self.rebuild_node(id.0, &mut scratch);
+        }
+        self.stats.rebuilds += self.affected.len() as u64;
+        &self.affected
+    }
+
+    /// Rebuilds node `id`'s neighbour list and edge geometry from the grid
+    /// and current positions with the exact reference expressions. The
+    /// list is gathered in `scratch` and copied, so a fresh build
+    /// allocates each list at its exact length and later rebuilds refill
+    /// in place.
+    fn rebuild_node(&mut self, id: usize, scratch: &mut Vec<NodeId>) {
+        // panic-path: callers pass ids below `positions.len()`, the caches
+        // vector is position-parallel, and grid buckets only hold ids the
+        // plan indexed.
+        let origin = self.positions[id];
+        let range = self.range;
+        let positions = &self.positions;
+        scratch.clear();
+        self.grid.for_each_candidate(origin, |p| {
+            if p.0 != id && TxPattern::Omni.covers(origin, range, positions[p.0]) {
+                scratch.push(p);
+            }
+        });
+        scratch.sort_unstable();
+        let NodeCache { neighbors, edges } = &mut self.nodes[id];
+        neighbors.clear();
+        neighbors.extend_from_slice(scratch);
+        edges.clear();
+        edges.extend(scratch.iter().map(|p| {
+            let q = positions[p.0];
+            (origin.heading_to(q), origin.distance_squared(q))
+        }));
     }
 
     /// Distance |a − b|, equal to [`Channel::distance`] bit for bit (same
@@ -295,26 +384,9 @@ impl CoveragePlan {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        // panic-path: offsets are monotone within the arena length by
-        // construction; an out-of-range id panics on the offset read,
-        // which is the documented contract.
-        let start = self.omni_offsets[id.0] as usize;
-        let end = self.omni_offsets[id.0 + 1] as usize;
-        &self.arena[start..end]
-    }
-
-    /// The omni arena slot of `needle` inside `owner`'s neighbour slice,
-    /// found by binary search (slices ascend by id).
-    ///
-    /// panic-path: callers pass an in-range `owner`, so the offset read is
-    /// within the n+1-length offsets vector.
-    #[inline]
-    fn edge_slot(&self, owner: NodeId, needle: NodeId) -> Option<usize> {
-        let start = self.omni_offsets[owner.0] as usize;
-        self.neighbors(owner)
-            .binary_search(&needle)
-            .ok()
-            .map(|i| start + i)
+        // panic-path: an out-of-range id panics on the cache read, which
+        // is the documented contract.
+        &self.nodes[id.0].neighbors
     }
 
     /// The bearing and distance of a signal arriving at `dst` from `src`,
@@ -324,7 +396,7 @@ impl CoveragePlan {
     /// The hot path for wave delivery: when `src` is inside `dst`'s
     /// neighbourhood (every physically arriving signal is, since beam and
     /// omni share one distance bound and distance is symmetric) both
-    /// values come from the per-edge cache after one binary search; the
+    /// values come from the edge cache after one binary search; the
     /// out-of-range fallback computes them with the same expressions.
     ///
     /// # Panics
@@ -332,54 +404,42 @@ impl CoveragePlan {
     /// Panics if either id is out of range.
     #[inline]
     pub fn arrival_geometry(&self, dst: NodeId, src: NodeId) -> (Angle, f64) {
-        match self.edge_slot(dst, src) {
-            // panic-path: per-edge caches are arena-slot-parallel by
-            // construction, so a found slot indexes all of them.
-            Some(slot) => (self.edge_heading[slot], self.edge_dist[slot]),
-            None => (self.heading(dst, src), self.distance(dst, src)),
+        let cache = &self.nodes[dst.0];
+        match cache.neighbors.binary_search(&src) {
+            // panic-path: `edges` is parallel to `neighbors` by
+            // construction, so a found index reads both.
+            Ok(i) => {
+                let (heading, d2) = cache.edges[i];
+                (heading, d2.sqrt())
+            }
+            Err(_) => (self.heading(dst, src), self.distance(dst, src)),
         }
     }
 
     /// Fills `out` with the footprint of a beam from `src` aimed at `dst`
     /// at the plan's beamwidth, in ascending id order — equal to
-    /// [`Channel::covered_by`] with [`TxPattern::aimed`] for **any** dst
-    /// (neighbour or not; a beam aimed at an unreachable peer still covers
-    /// whatever falls in its sector).
+    /// [`Channel::covered_by`] for the beam aimed from `src` at `dst`, for
+    /// **any** dst (neighbour or not; a beam aimed at an unreachable peer
+    /// still covers whatever falls in its sector).
     ///
-    /// Cost for the aims a MAC produces (dst inside src's neighbourhood):
-    /// one binary search plus a slice copy from the per-edge footprint
-    /// table. Cold aims at out-of-neighbourhood destinations filter the
-    /// omni slice on the fly with the same predicate — because the sector
-    /// shares the omni disk's exact distance bound, the footprint is a
-    /// subset of the omni neighbourhood and the filter preserves the
-    /// slice's ascending order.
+    /// Cost: one binary search for the aim's cached bearing (computed on
+    /// the spot for an out-of-neighbourhood aim, which a MAC never
+    /// produces), then an O(deg) filter of `src`'s omni list against the
+    /// cached edge bearings — because the sector shares the omni disk's
+    /// exact distance bound, the footprint is a subset of that list and
+    /// the filter preserves its ascending order.
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     #[inline]
     pub fn directional_coverage_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) {
-        assert!(
-            src.0 < self.positions.len() && dst.0 < self.positions.len(),
-            "node id out of range"
-        );
         out.clear();
-        if let Some(slot) = self.edge_slot(src, dst) {
-            // panic-path: stored ranges delimit arena slices built above.
-            let (start, end) = self.dir_ranges[slot];
-            out.extend_from_slice(&self.arena[start as usize..end as usize]);
-            return;
-        }
-        let origin = self.positions[src.0];
-        let boresight = origin.heading_to(self.positions[dst.0]);
-        let start = self.omni_offsets[src.0] as usize;
-        let neighbors = self.neighbors(src);
-        // panic-path: per-edge caches are arena-slot-parallel, so the omni
-        // slice's slots index `edge_heading`.
-        let headings = &self.edge_heading[start..start + neighbors.len()];
-        for (&p, &bearing) in neighbors.iter().zip(headings) {
-            // panic-path: neighbour slices only hold ids the plan indexed.
-            let d2 = origin.distance_squared(self.positions[p.0]);
+        // The bearing src → dst is the arrival heading at src of a signal
+        // from dst.
+        let (boresight, _) = self.arrival_geometry(src, dst);
+        let cache = &self.nodes[src.0];
+        for (&p, &(bearing, d2)) in cache.neighbors.iter().zip(&cache.edges) {
             if beam_covers_neighbor(self.beamwidth, boresight, d2, bearing) {
                 out.push(p);
             }
@@ -408,23 +468,46 @@ impl CoveragePlan {
     /// generation has always drawn destinations from the strict set while
     /// signal coverage uses the slack bound, and collapsing the two would
     /// shift golden traces. Since strict ⊆ slack, this filters the omni
-    /// slice, which is already ascending by id.
+    /// list on its cached squared distances.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn adjacency_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        assert!(id.0 < self.positions.len(), "node id out of range");
         out.clear();
-        let origin = self.positions[id.0];
         let r2 = self.range * self.range;
-        // panic-path: neighbour slices only hold ids the plan indexed.
+        let cache = &self.nodes[id.0];
         out.extend(
-            self.neighbors(id)
+            cache
+                .neighbors
                 .iter()
-                .copied()
-                .filter(|p| origin.distance_squared(self.positions[p.0]) <= r2),
+                .zip(&cache.edges)
+                .filter(|&(_, &(_, d2))| d2 <= r2)
+                .map(|(&p, _)| p),
         );
+    }
+}
+
+/// The constructor that builds a [`CoveragePlan`] straight from a
+/// position slice, for callers that track positions without a
+/// [`Channel`] (mobility replays and benchmarks). It is a namespace only:
+/// the plan it returns is the one plan type, and moving fields drive it
+/// through [`CoveragePlan::apply_moves`].
+#[derive(Debug)]
+pub enum DynamicCoveragePlan {}
+
+impl DynamicCoveragePlan {
+    /// Builds a [`CoveragePlan`] over `positions` with range `range` and
+    /// directional footprints filtered at `beamwidth`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `range` is positive and finite.
+    // The constructor's name and signature predate the merge of the static
+    // and mobile plans, and callers outside the workspace build against it.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(positions: &[Point], range: f64, beamwidth: Beamwidth) -> CoveragePlan {
+        CoveragePlan::from_positions(positions.to_vec(), range, beamwidth)
     }
 }
 
@@ -438,18 +521,9 @@ fn beam_covers_neighbor(beamwidth: Beamwidth, boresight: Angle, d2: f64, bearing
     d2 <= EPSILON || beamwidth.covers_bearing(boresight, bearing)
 }
 
-/// Narrows an arena length to the 32-bit offset type.
-///
-/// panic-path: the arena holds one entry per (node, neighbour) edge and
-/// the constructor caps n below `u32::MAX`, so the length always fits.
-fn arena_offset(len: usize) -> u32 {
-    u32::try_from(len).expect("arena stays below u32::MAX entries")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dirca_geometry::Point;
     use dirca_sim::SimDuration;
 
     fn chan(points: Vec<Point>) -> Channel {
@@ -593,7 +667,7 @@ mod tests {
         let plan = CoveragePlan::new(&c, beam(90.0));
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
-        assert_eq!(plan.arena_len(), 0);
+        assert_eq!(plan.stats(), InvalidationStats::default());
     }
 
     #[test]

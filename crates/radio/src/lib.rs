@@ -22,15 +22,17 @@
 //! machine fed with signal-arrival/end notifications; the `dirca-net` crate
 //! wires it to the discrete-event loop.
 //!
-//! Because positions, range, and beamwidth are immutable for a run,
 //! [`CoveragePlan`] serves every spatial answer the per-frame hot path
 //! needs — omni neighbour lists as borrowed id-sorted slices, directional
-//! footprints as an O(deg) filter of them, distance/heading computed
-//! bit-identically to the reference — from a uniform-grid
-//! [`SpatialGrid`] index that costs O(n) memory and O(local density) per
-//! query, so 100k-node fields are as tractable as the paper's 130.
-//! [`Channel::covered_by`] remains the reference implementation the plan
-//! is built from and tested against.
+//! footprints as an O(deg) filter of them, arrival bearing and distance
+//! from a per-edge cache, bit-identical to the reference — from a
+//! uniform-grid [`SpatialGrid`] index that costs O(n) memory and
+//! O(local density) per query, so 100k-node fields are as tractable as the
+//! paper's 130. Range and beamwidth are fixed for a run; positions are
+//! too, unless a mobility model moves nodes, in which case
+//! [`CoveragePlan::apply_moves`] re-bins the movers and rebuilds only the
+//! caches within reach of them. [`Channel::covered_by`] remains the
+//! reference implementation the plan is tested against.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,7 +41,6 @@
 
 mod channel;
 mod coverage;
-mod dynamic;
 mod fault;
 mod partition;
 mod pattern;
@@ -47,8 +48,7 @@ mod spatial;
 mod transceiver;
 
 pub use channel::{Channel, ChannelError, TxPattern};
-pub use coverage::CoveragePlan;
-pub use dynamic::{DynamicCoveragePlan, InvalidationStats};
+pub use coverage::{CoveragePlan, DynamicCoveragePlan, InvalidationStats};
 pub use fault::{CompiledFaults, FaultPlan, FaultPlanError, LinkFault, Outage};
 pub use partition::RegionPartition;
 pub use pattern::{AntennaPattern, SinrPhy};

@@ -1,4 +1,4 @@
-//! Uniform-grid spatial index over static node positions.
+//! Uniform-grid spatial index over node positions.
 //!
 //! At the paper's 30–130 nodes a dense pairwise arena is fine; at the
 //! roadmap's 10k–100k-node Poisson fields anything O(n²) — matrices,
@@ -12,20 +12,30 @@
 //!
 //! # Layout
 //!
-//! Nodes are bucketed into a flat row-major cell array: `starts` holds
-//! `cols·rows + 1` offsets delimiting each cell's slice of the shared
-//! `order` arena, and within every cell the node ids are in ascending
-//! order (the counting sort that builds the arena walks ids `0..n`, which
-//! is a stable placement). Iteration over a 3×3 block therefore visits a
-//! fixed, position-determined sequence of id-sorted slices — no hashing,
-//! no pointer identity, nothing that could vary between runs — so every
+//! Nodes are bucketed into a flat row-major cell array of `Vec`s, and
+//! within every bucket the node ids are in ascending order (construction
+//! walks ids `0..n`; [`SpatialGrid::rebin`] inserts at the sorted
+//! position). Iteration over a 3×3 block therefore visits a fixed,
+//! position-determined sequence of id-sorted buckets — no hashing, no
+//! pointer identity, nothing that could vary between runs — so every
 //! consumer that sorts (or merges) the filtered candidates gets the exact
 //! ascending-id ordering the reference [`crate::Channel`] queries produce.
+//!
+//! # Moving nodes
+//!
+//! The bounding box and cell edge are fixed at construction;
+//! [`SpatialGrid::rebin`] moves one node between buckets in O(bucket)
+//! when a position epoch carries it across a cell edge. Nodes that wander
+//! outside the original box clamp to the border cells. Clamping is
+//! monotone and 1-Lipschitz in cell units, so two positions within one
+//! reach of each other still land within one cell of each other and the
+//! 3×3 superset guarantee survives arbitrary excursions (dense border
+//! cells only cost time, never correctness).
 //!
 //! # Degenerate geometry
 //!
 //! Co-located nodes share a cell (ids stay ascending); a field smaller
-//! than one cell collapses to a 1×1 grid whose single slice is simply the
+//! than one cell collapses to a 1×1 grid whose single bucket is simply the
 //! full id range; non-finite coordinates index cell 0 deterministically
 //! (`f64 as u32` saturates NaN to zero) and are rejected by any distance
 //! predicate, mirroring how the reference full-scan treats them. A huge
@@ -37,8 +47,9 @@ use dirca_geometry::Point;
 
 use crate::NodeId;
 
-/// A uniform grid over immutable node positions, answering "which nodes
-/// can possibly lie within `reach` of this point" in O(local density).
+/// A uniform grid over node positions, answering "which nodes can
+/// possibly lie within `reach` of this point" in O(local density), with
+/// single-node re-binning for moving fields.
 ///
 /// # Example
 ///
@@ -46,18 +57,26 @@ use crate::NodeId;
 /// use dirca_geometry::Point;
 /// use dirca_radio::{NodeId, SpatialGrid};
 ///
-/// let positions = vec![
+/// let mut positions = vec![
 ///     Point::new(0.0, 0.0),
 ///     Point::new(0.5, 0.0),
 ///     Point::new(10.0, 10.0),
 /// ];
-/// let grid = SpatialGrid::new(&positions, 1.0);
+/// let mut grid = SpatialGrid::new(&positions, 1.0);
 /// let mut near_origin = Vec::new();
 /// grid.for_each_candidate(Point::new(0.1, 0.1), |id| near_origin.push(id));
 /// // The far node is outside the 3×3 block; the near pair is inside.
 /// assert!(near_origin.contains(&NodeId(0)));
 /// assert!(near_origin.contains(&NodeId(1)));
 /// assert!(!near_origin.contains(&NodeId(2)));
+///
+/// // Node 2 walks over to the origin and joins the block.
+/// let moved = Point::new(0.2, 0.0);
+/// assert!(grid.rebin(NodeId(2), positions[2], moved));
+/// positions[2] = moved;
+/// near_origin.clear();
+/// grid.for_each_candidate(Point::new(0.1, 0.1), |id| near_origin.push(id));
+/// assert!(near_origin.contains(&NodeId(2)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
@@ -69,11 +88,11 @@ pub struct SpatialGrid {
     /// Grid dimensions (each ≥ 1).
     cols: u32,
     rows: u32,
-    /// `cols·rows + 1` arena offsets delimiting each cell's slice,
-    /// row-major (`cell (c, r)` is entry `r·cols + c`).
-    starts: Vec<u32>,
-    /// The shared arena: node ids grouped by cell, ascending within each.
-    order: Vec<NodeId>,
+    /// Number of indexed nodes.
+    len: usize,
+    /// `cols·rows` row-major buckets (`cell (c, r)` is entry `r·cols + c`);
+    /// ids ascend within each.
+    buckets: Vec<Vec<NodeId>>,
 }
 
 impl SpatialGrid {
@@ -84,22 +103,17 @@ impl SpatialGrid {
     /// cell count is soft-capped at ~4·n (minimum 16), growing the cell
     /// edge beyond `reach` for sparse fields with huge extents.
     ///
-    /// Cost: O(n) time and memory (two counting-sort passes).
+    /// Cost: O(n) time and memory.
     ///
     /// # Panics
     ///
-    /// Panics if `reach` is not positive and finite, or if `positions`
-    /// holds ≥ `u32::MAX` nodes (the arena uses 32-bit offsets).
+    /// Panics if `reach` is not positive and finite.
     pub fn new(positions: &[Point], reach: f64) -> Self {
         assert!(
             reach.is_finite() && reach > 0.0,
             "grid reach must be positive and finite, got {reach}"
         );
         let n = positions.len();
-        assert!(
-            (n as u64) < u64::from(u32::MAX),
-            "spatial grid supports fewer than u32::MAX nodes"
-        );
 
         // Bounding box over the finite coordinates; non-finite positions
         // deterministically land in cell 0 and are filtered out by any
@@ -133,55 +147,32 @@ impl SpatialGrid {
         let cols = grid_extent(width, cell);
         let rows = grid_extent(height, cell);
 
-        let cells = (cols as usize) * (rows as usize);
-        let mut starts = vec![0u32; cells + 1];
-        let flat = |p: &Point| -> usize {
-            let (c, r) = cell_of(p.x, p.y, min_x, min_y, cell, cols, rows);
-            (r as usize) * (cols as usize) + (c as usize)
-        };
-        for p in positions {
-            // panic-path: `flat` clamps both axes into the grid, so the
-            // +1-shifted counting slot is within `starts`' cells+1 length.
-            starts[flat(p) + 1] += 1;
-        }
-        for i in 1..starts.len() {
-            // panic-path: `i` ranges over `starts` indices; `i - 1` is the
-            // predecessor of an index that starts at 1.
-            starts[i] += starts[i - 1];
-        }
-        // Stable placement: walking ids in ascending order fills each
-        // cell's slice in ascending id order — the property every
-        // determinism argument downstream leans on.
-        let mut cursor: Vec<u32> = starts.clone();
-        let mut order = vec![NodeId(0); n];
-        for (id, p) in positions.iter().enumerate() {
-            let slot = flat(p);
-            // panic-path: `cursor[slot]` starts at the cell's offset and is
-            // bumped once per node in the cell, so it stays within the
-            // cell's slice of the n-length arena.
-            order[cursor[slot] as usize] = NodeId(id);
-            cursor[slot] += 1;
-        }
-
-        SpatialGrid {
+        let mut grid = SpatialGrid {
             cell,
             min_x,
             min_y,
             cols,
             rows,
-            starts,
-            order,
+            len: n,
+            buckets: vec![Vec::new(); (cols as usize) * (rows as usize)],
+        };
+        // Walking ids in ascending order keeps every bucket id-sorted —
+        // the property every determinism argument downstream leans on.
+        for (id, p) in positions.iter().enumerate() {
+            let cell = grid.cell_of(*p);
+            grid.bucket_mut(cell).push(NodeId(id));
         }
+        grid
     }
 
     /// Number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.len
     }
 
     /// Whether the grid indexes no nodes.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len == 0
     }
 
     /// Grid width in cells.
@@ -199,6 +190,20 @@ impl SpatialGrid {
         self.cell
     }
 
+    /// The clamped `(col, row)` cell that position `p` indexes. Points
+    /// outside the construction bounding box clamp to the border cells;
+    /// NaN coordinates clamp to 0.
+    #[inline]
+    pub fn cell_of(&self, p: Point) -> (u32, u32) {
+        let c = ((p.x - self.min_x) / self.cell)
+            .floor()
+            .clamp(0.0, (self.cols - 1) as f64) as u32;
+        let r = ((p.y - self.min_y) / self.cell)
+            .floor()
+            .clamp(0.0, (self.rows - 1) as f64) as u32;
+        (c, r)
+    }
+
     /// The id-sorted node slice of cell `(col, row)`.
     ///
     /// # Panics
@@ -206,11 +211,36 @@ impl SpatialGrid {
     /// Panics if `col`/`row` are outside the grid.
     pub fn cell_nodes(&self, col: u32, row: u32) -> &[NodeId] {
         assert!(col < self.cols && row < self.rows, "cell out of range");
-        let idx = (row as usize) * (self.cols as usize) + (col as usize);
-        // panic-path: `starts` has cols·rows + 1 entries and `idx` was
-        // bounds-checked above, so `idx + 1` is in range and the offsets
-        // delimit a valid arena slice by construction.
-        &self.order[self.starts[idx] as usize..self.starts[idx + 1] as usize]
+        // panic-path: both axes were bounds-checked above, so the
+        // row-major index is within the bucket vector.
+        &self.buckets[(row as usize) * (self.cols as usize) + (col as usize)]
+    }
+
+    /// Moves node `id` from the cell of its old position `from` to the
+    /// cell of its new position `to`, keeping both buckets id-sorted.
+    /// Returns whether the cells differed (i.e. a re-bin happened); a move
+    /// within one cell touches nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in the cell of `from` (the caller must track
+    /// each node's indexed position).
+    pub fn rebin(&mut self, id: NodeId, from: Point, to: Point) -> bool {
+        let (old, new) = (self.cell_of(from), self.cell_of(to));
+        if old == new {
+            return false;
+        }
+        let bucket = self.bucket_mut(old);
+        // panic-path: callers pass the position the node is indexed at,
+        // so it is present in that bucket by construction.
+        let at = bucket
+            .binary_search(&id)
+            .expect("moved node present in the cell of its old position");
+        bucket.remove(at);
+        let bucket = self.bucket_mut(new);
+        let at = bucket.binary_search(&id).unwrap_or_else(|i| i);
+        bucket.insert(at, id);
+        true
     }
 
     /// Invokes `f` for every node in the 3×3 cell block around `around` —
@@ -218,33 +248,39 @@ impl SpatialGrid {
     /// `reach` of that point. Cells are visited row-major and each cell's
     /// ids ascend, so the visit sequence is a pure function of geometry.
     #[inline]
-    pub fn for_each_candidate(&self, around: Point, mut f: impl FnMut(NodeId)) {
-        let (c, r) = cell_of(
-            around.x, around.y, self.min_x, self.min_y, self.cell, self.cols, self.rows,
-        );
+    pub fn for_each_candidate(&self, around: Point, f: impl FnMut(NodeId)) {
+        self.for_each_in_block(self.cell_of(around), f);
+    }
+
+    /// Invokes `f` for every node in the 3×3 cell block around cell
+    /// `(c, r)`, row-major, ids ascending within each bucket.
+    #[inline]
+    pub(crate) fn for_each_in_block(&self, (c, r): (u32, u32), mut f: impl FnMut(NodeId)) {
         let c1 = (c + 1).min(self.cols - 1);
         let r1 = (r + 1).min(self.rows - 1);
         for row in r.saturating_sub(1)..=r1 {
             let base = (row as usize) * (self.cols as usize);
-            let lo = base + c.saturating_sub(1) as usize;
-            let hi = base + c1 as usize;
-            // A row's 1–3 adjacent cells occupy contiguous arena slots, so
-            // the whole row strip is one slice.
-            // panic-path: `lo ≤ hi < cols·rows` from the clamps above and
-            // `starts` offsets are monotonically increasing within the
-            // arena length by construction.
-            let slice = &self.order[self.starts[lo] as usize..self.starts[hi + 1] as usize];
-            for &id in slice {
-                f(id);
+            // panic-path: `cell_of` clamps both axes into the grid, so the
+            // clamped block's row-major indices are within the buckets.
+            for bucket in &self.buckets[base + c.saturating_sub(1) as usize..=base + c1 as usize] {
+                for &id in bucket {
+                    f(id);
+                }
             }
         }
     }
 
-    /// Approximate resident bytes of the index (arena + offsets + header).
+    /// Approximate resident bytes of the index (buckets + header).
     pub fn index_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.starts.len() * std::mem::size_of::<u32>()
-            + self.order.len() * std::mem::size_of::<NodeId>()
+            + self.buckets.len() * std::mem::size_of::<Vec<NodeId>>()
+            + self.buckets.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<NodeId>()
+    }
+
+    fn bucket_mut(&mut self, (c, r): (u32, u32)) -> &mut Vec<NodeId> {
+        // panic-path: callers pass cells from `cell_of`, which clamps both
+        // axes into the grid, so the row-major index is in range.
+        &mut self.buckets[(r as usize) * (self.cols as usize) + (c as usize)]
     }
 }
 
@@ -254,17 +290,6 @@ fn grid_extent(extent: f64, cell: f64) -> u32 {
     // 0); +1 because a point exactly on the far edge must still index a
     // valid column.
     ((extent / cell).floor().clamp(0.0, u32::MAX as f64 - 2.0) as u32) + 1
-}
-
-/// The clamped (col, row) cell of point `(x, y)`.
-#[inline]
-fn cell_of(x: f64, y: f64, min_x: f64, min_y: f64, cell: f64, cols: u32, rows: u32) -> (u32, u32) {
-    // `clamp` keeps NaN (→ cast saturates to 0) and out-of-box points
-    // deterministic; indexed positions always fall inside the box, query
-    // points are node positions and therefore do too.
-    let c = ((x - min_x) / cell).floor().clamp(0.0, (cols - 1) as f64) as u32;
-    let r = ((y - min_y) / cell).floor().clamp(0.0, (rows - 1) as f64) as u32;
-    (c, r)
 }
 
 #[cfg(test)]

@@ -1,25 +1,26 @@
-//! Equivalence battery for the incrementally-invalidated
-//! [`DynamicCoveragePlan`] under real mobility traces.
+//! Equivalence battery for the coverage plan under real mobility traces.
 //!
-//! The mobile plan caches only each node's neighbour and adjacency lists;
-//! arrival geometry and directional footprints are computed per query.
-//! The property that matters: after *any* sequence of position epochs
-//! driven by the deterministic mobility models, the incrementally
-//! maintained plan equals a from-scratch rebuild over the final positions
-//! **field for field** (the cached lists, via `PartialEq`), and both
-//! answer every query — every arrival pair and every aim — bit-identically
-//! to the immutable [`CoveragePlan`] oracle built over the same positions,
-//! whose geometry and footprints are cached. Checked by proptest across
-//! epoch counts, node densities, beamwidths, and both mobility families.
+//! The plan caches each node's neighbour list and the bearing and squared
+//! distance of every edge, and [`CoveragePlan::apply_moves`] refreshes
+//! them incrementally on each position epoch. The property that matters:
+//! after *any* sequence of epochs driven by the deterministic mobility
+//! models, the incrementally maintained plan equals a from-scratch build
+//! over the final positions **field for field** (via `PartialEq`), and it
+//! answers every query — every arrival pair, every aim, and the strict
+//! traffic adjacency — exactly like the reference [`Channel`] full scan
+//! over the same positions (bearings and distances bit for bit). Checked
+//! by proptest across epoch counts, node densities, beamwidths, and both
+//! mobility families.
 //!
 //! The golden regression rides along: a zero-motion epoch does **zero**
-//! cache work — counter-asserted via [`InvalidationStats`], not timed.
+//! cache work — counter-asserted via [`dirca_radio::InvalidationStats`],
+//! not timed.
 
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use dirca_geometry::{Beamwidth, Point};
-use dirca_radio::{Channel, CoveragePlan, DynamicCoveragePlan, NodeId};
+use dirca_radio::{Channel, CoveragePlan, DynamicCoveragePlan, NodeId, TxPattern};
 use dirca_sim::SimDuration;
 use dirca_topology::{MobilityModel, MobilityState};
 use proptest::prelude::*;
@@ -61,42 +62,55 @@ fn model_strategy() -> impl Strategy<Value = MobilityModel> {
     ]
 }
 
-/// Asserts `plan` answers every query exactly like a [`CoveragePlan`]
-/// built fresh over the same positions — the immutable reference the
-/// incremental path must never drift from.
-fn assert_matches_oracle(plan: &DynamicCoveragePlan, beamwidth: Beamwidth) {
+/// Asserts `plan` answers every query exactly like the reference
+/// [`Channel`] full scan over the plan's current positions — the oracle
+/// the incremental path must never drift from.
+fn assert_matches_oracle(plan: &CoveragePlan, beamwidth: Beamwidth) {
     let chan = Channel::new(
         plan.positions().to_vec(),
         RANGE,
         SimDuration::from_micros(1),
     )
     .expect("finite positions");
-    let oracle = CoveragePlan::new(&chan, beamwidth);
     let mut got = Vec::new();
-    let mut want = Vec::new();
     for i in 0..plan.len() {
         let src = NodeId(i);
         assert_eq!(
             plan.neighbors(src),
-            oracle.neighbors(src),
+            chan.covered_by(src, TxPattern::Omni).unwrap().as_slice(),
             "neighbours of {src}"
         );
-        oracle.adjacency_into(src, &mut want);
+        // Brute-force strict oracle (the `Topology::adjacency` predicate:
+        // d² ≤ R², no EPSILON).
+        let origin = chan.position(src).unwrap();
+        let strict: Vec<NodeId> = (0..plan.len())
+            .map(NodeId)
+            .filter(|&j| {
+                j != src && origin.distance_squared(chan.position(j).unwrap()) <= RANGE * RANGE
+            })
+            .collect();
         plan.adjacency_into(src, &mut got);
-        assert_eq!(got, want, "adjacency of {src}");
+        assert_eq!(got, strict, "adjacency of {src}");
         for j in 0..plan.len() {
             let dst = NodeId(j);
-            let (gh, gd) = plan.arrival_geometry(dst, src);
-            let (wh, wd) = oracle.arrival_geometry(dst, src);
+            let (heading, distance) = plan.arrival_geometry(dst, src);
             assert_eq!(
-                gh.radians().to_bits(),
-                wh.radians().to_bits(),
-                "heading {src}→{dst}"
+                heading.radians().to_bits(),
+                chan.heading(dst, src).unwrap().radians().to_bits(),
+                "heading {dst}→{src}"
             );
-            assert_eq!(gd.to_bits(), wd.to_bits(), "distance {src}→{dst}");
+            assert_eq!(
+                distance.to_bits(),
+                chan.distance(dst, src).unwrap().to_bits(),
+                "distance {dst}→{src}"
+            );
+            let aimed = TxPattern::aimed(origin, chan.position(dst).unwrap(), beamwidth);
             plan.directional_coverage_into(src, dst, &mut got);
-            oracle.directional_coverage_into(src, dst, &mut want);
-            assert_eq!(got, want, "footprint {src}→{dst}");
+            assert_eq!(
+                got,
+                chan.covered_by(src, aimed).unwrap(),
+                "footprint {src}→{dst}"
+            );
         }
     }
 }
@@ -105,7 +119,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// After k mobility epochs the incremental plan equals a from-scratch
-    /// rebuild field for field, and both match the immutable oracle.
+    /// rebuild field for field, and matches the reference channel.
     #[test]
     fn incremental_plan_equals_scratch_rebuild(
         positions in positions_strategy(),
@@ -218,7 +232,7 @@ fn grid_points(side: usize, pitch: f64) -> Vec<Point> {
 }
 
 #[test]
-fn fresh_plan_matches_static_plan() {
+fn fresh_plan_matches_reference() {
     for theta in [30.0, 120.0, 360.0] {
         let plan = DynamicCoveragePlan::new(&grid_points(4, 0.6), RANGE, beam(theta));
         assert_matches_oracle(&plan, beam(theta));

@@ -139,15 +139,31 @@ proptest! {
     #[test]
     fn grid_candidates_form_a_partition(
         positions in cluster_strategy(),
+        moves in prop::collection::vec((0usize..16, -8.0f64..8.0, -8.0f64..8.0), 0..24),
     ) {
         // Summing every cell's slice must visit each node exactly once,
-        // whatever the layout.
-        let grid = SpatialGrid::new(&positions, 1.0);
+        // whatever the layout — before and after an arbitrary sequence of
+        // re-bins, including excursions outside the original bounding box
+        // and moves that stay within one cell. Afterwards every node sits
+        // in the cell of its current position and every cell stays
+        // id-sorted.
+        let mut positions = positions;
+        let mut grid = SpatialGrid::new(&positions, 1.0);
+        for (i, x, y) in moves {
+            let id = i % positions.len();
+            let to = Point::new(x, y);
+            let crossed = grid.rebin(NodeId(id), positions[id], to);
+            prop_assert_eq!(crossed, grid.cell_of(positions[id]) != grid.cell_of(to));
+            positions[id] = to;
+        }
         let mut seen = vec![0usize; positions.len()];
         for r in 0..grid.rows() {
             for c in 0..grid.cols() {
-                for &id in grid.cell_nodes(c, r) {
+                let cell = grid.cell_nodes(c, r);
+                prop_assert!(cell.windows(2).all(|w| w[0] < w[1]), "cell ({}, {}) unsorted", c, r);
+                for &id in cell {
                     seen[id.0] += 1;
+                    prop_assert_eq!(grid.cell_of(positions[id.0]), (c, r), "node {} misplaced", id);
                 }
             }
         }
