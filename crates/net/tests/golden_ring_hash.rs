@@ -9,29 +9,26 @@
 //! hashes, re-record them with `cargo test -p dirca-net --test
 //! golden_ring_hash -- --nocapture print_current_hashes --ignored`.
 
+mod common;
+
+use common::{ring_config, ring_topology, trace_hash, VariantRow, VARIANT_ROWS};
 use dirca_mac::Scheme;
 use dirca_net::{NetWorld, SimConfig};
-use dirca_sim::rng::stream_rng;
 use dirca_sim::{SimTime, Simulation};
-use dirca_topology::RingSpec;
 
 /// FNV-1a over the debug-serialized frame trace.
 fn ring_trace_hash(scheme: Scheme, seed: u64) -> u64 {
-    ring_trace_hash_with(scheme, seed, false).0
+    ring_trace_hash_with(ring_config(scheme, seed), false).0
 }
 
-/// Runs the golden ring configuration and hashes its frame trace. With
-/// `recorder` set (trace feature only), a [`dirca_net::trace::RingTrace`]
-/// recorder rides along and its JSONL export is returned for inspection —
-/// the frame-trace hash must not change either way, which is the
-/// observability layer's non-perturbation proof.
-fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Option<String>) {
-    let spec = RingSpec::paper(5, 1.0);
-    let mut topo_rng = stream_rng(seed, 0xA11CE);
-    let topology = spec.generate(&mut topo_rng).expect("ring topology");
-    let config = SimConfig::new(scheme)
-        .with_seed(seed)
-        .with_beamwidth_degrees(30.0);
+/// Runs the golden ring under `config` (its seed also seeds the ring) and
+/// hashes its frame trace. With `recorder` set (trace feature only), a
+/// [`dirca_net::trace::RingTrace`] recorder rides along and its JSONL
+/// export is returned for inspection — the frame-trace hash must not
+/// change either way, which is the observability layer's
+/// non-perturbation proof.
+fn ring_trace_hash_with(config: SimConfig, recorder: bool) -> (u64, Option<String>) {
+    let topology = ring_topology(config.seed);
     let mut world = NetWorld::build(&topology, &config);
     world.enable_trace();
     #[cfg(feature = "trace")]
@@ -52,13 +49,7 @@ fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Opti
     let jsonl = world.take_recorder().map(|r| r.to_jsonl());
     #[cfg(not(feature = "trace"))]
     let jsonl = None;
-    let trace = world.trace().expect("trace enabled");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{trace:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash, jsonl)
+    (trace_hash(world.trace().expect("trace enabled")), jsonl)
 }
 
 /// (scheme, seed, FNV-1a of the trace) recorded on the pre-fast-path tree.
@@ -82,6 +73,26 @@ fn ring_traces_match_recorded_golden_hashes() {
     }
 }
 
+/// The classic trace hash of one variant row.
+fn variant_hash(row: &VariantRow) -> u64 {
+    ring_trace_hash_with((row.mutate)(ring_config(Scheme::DrtsDcts, row.seed)), false).0
+}
+
+/// The paths saturated, fault-free traffic never reaches — Poisson
+/// arrivals into a bounded queue, frame errors, a node outage — pinned on
+/// DRTS-DCTS at 30°.
+#[test]
+fn variant_traces_match_recorded_golden_hashes() {
+    for row in VARIANT_ROWS {
+        let got = variant_hash(row);
+        assert_eq!(
+            got, row.classic,
+            "{} seed {}: trace diverged from the recorded golden run",
+            row.name, row.seed
+        );
+    }
+}
+
 /// The observability layer's non-perturbation battery: attaching the
 /// trace recorder must reproduce the recorded golden hashes byte-for-byte
 /// (the recorder observes frames and RNG draws without touching either),
@@ -94,7 +105,7 @@ mod recorder_does_not_perturb {
     #[test]
     fn golden_hashes_survive_an_attached_recorder() {
         for &(scheme, seed, want) in RECORDED {
-            let (got, jsonl) = ring_trace_hash_with(scheme, seed, true);
+            let (got, jsonl) = ring_trace_hash_with(ring_config(scheme, seed), true);
             assert_eq!(
                 got, want,
                 "{scheme} seed {seed}: attaching the trace recorder perturbed the run"
@@ -109,8 +120,8 @@ mod recorder_does_not_perturb {
     #[test]
     fn same_seed_runs_emit_identical_jsonl() {
         for scheme in Scheme::ALL {
-            let (_, a) = ring_trace_hash_with(scheme, 7, true);
-            let (_, b) = ring_trace_hash_with(scheme, 7, true);
+            let (_, a) = ring_trace_hash_with(ring_config(scheme, 7), true);
+            let (_, b) = ring_trace_hash_with(ring_config(scheme, 7), true);
             assert_eq!(
                 a, b,
                 "{scheme}: two same-seed runs exported different JSONL traces"
@@ -120,7 +131,7 @@ mod recorder_does_not_perturb {
 }
 
 #[test]
-#[ignore = "recording helper: prints the current hashes for RECORDED"]
+#[ignore = "recording helper: prints the current hashes for RECORDED and VARIANT_ROWS"]
 fn print_current_hashes() {
     for scheme in Scheme::ALL {
         for seed in [7u64, 21] {
@@ -129,5 +140,13 @@ fn print_current_hashes() {
                 ring_trace_hash(scheme, seed)
             );
         }
+    }
+    for row in VARIANT_ROWS {
+        println!(
+            "    {} seed {}: classic 0x{:016x}",
+            row.name,
+            row.seed,
+            variant_hash(row)
+        );
     }
 }
