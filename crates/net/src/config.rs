@@ -53,6 +53,27 @@ pub enum TrafficModel {
     Manual,
 }
 
+impl TrafficModel {
+    /// Validates the model parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Poisson rate is not positive and finite (a NaN or
+    /// negative rate schedules arrivals 1 ns apart forever, a zero rate
+    /// overflows the clock).
+    pub(crate) fn validate(&self) {
+        if let TrafficModel::Poisson {
+            packets_per_sec, ..
+        } = *self
+        {
+            assert!(
+                packets_per_sec.is_finite() && packets_per_sec > 0.0,
+                "Poisson rate must be positive, got {packets_per_sec}"
+            );
+        }
+    }
+}
+
 /// All knobs of one simulation run.
 ///
 /// Build with [`SimConfig::new`] and the `with_*` methods (consuming
@@ -188,15 +209,7 @@ impl SimConfig {
     ///
     /// Panics if a Poisson rate is not positive and finite.
     pub fn with_traffic(mut self, traffic: TrafficModel) -> Self {
-        if let TrafficModel::Poisson {
-            packets_per_sec, ..
-        } = traffic
-        {
-            assert!(
-                packets_per_sec.is_finite() && packets_per_sec > 0.0,
-                "Poisson rate must be positive, got {packets_per_sec}"
-            );
-        }
+        traffic.validate();
         self.traffic = traffic;
         self
     }

@@ -45,7 +45,7 @@ mod world;
 
 pub use config::{MobilityConfig, SimConfig, TrafficModel};
 pub use result::{NodeReport, RunResult};
-pub use shard::{run_sharded, run_sharded_guarded, ShardNetWorld, ShardedNetSim, DEFAULT_SHARDS};
+pub use shard::{run_sharded, run_sharded_guarded, ShardedNetSim, DEFAULT_SHARDS};
 pub use world::{AirtimeBreakdown, AppStats, NetEvent, NetWorld, TraceEntry};
 
 // Fault-injection plumbing, re-exported so experiment code can configure a

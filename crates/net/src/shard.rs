@@ -3,15 +3,18 @@
 //!
 //! The field is partitioned into [`RegionPartition`] stripes keyed off the
 //! coverage plan's [`dirca_radio::SpatialGrid`]; each shard advances a full
-//! [`NetWorld`] replica but only ever touches the MACs, transceivers, RNG
-//! streams, and app counters of the nodes it *owns*. A transmission always
-//! schedules its own shard's [`NetEvent::WaveStart`]/[`NetEvent::WaveEnd`]
-//! copy locally; when the precomputed footprint covers receivers owned by
-//! other shards, a copy is posted to each of those shards through the
-//! engine's deterministic index-ordered mailboxes. The conservative
-//! lookahead is the channel's propagation delay — exactly the paper's
-//! physical argument: a frame on the air at `t` cannot touch another node
-//! before `t + delay`.
+//! [`NetWorld`] replica through the same event handler as the classic
+//! engine, but only ever touches the MACs, transceivers, RNG streams, and
+//! app counters of the nodes it *owns*. What a shard does differently is
+//! carried into that handler as a [`Route`]: skip receivers and sources it
+//! does not own, tag its signal ids with its index, and post wave copies
+//! to other shards. A transmission always schedules its own shard's
+//! [`NetEvent::WaveStart`]/[`NetEvent::WaveEnd`] copy locally; when the
+//! precomputed footprint covers receivers owned by other shards, a copy is
+//! posted to each of those shards through the engine's deterministic
+//! index-ordered mailboxes. The conservative lookahead is the channel's
+//! propagation delay — exactly the paper's physical argument: a frame on
+//! the air at `t` cannot touch another node before `t + delay`.
 //!
 //! Determinism contract:
 //!
@@ -20,7 +23,7 @@
 //!   run is **byte-identical at any worker count**.
 //! * With one shard, the engine degenerates to the classic sequential
 //!   event loop: same queue, same pop order, same RNG draws, same
-//!   [`SignalId`] sequence — byte-identical to [`crate::run`]'s trace.
+//!   [`dirca_radio::SignalId`] sequence — byte-identical to [`crate::run`]'s trace.
 //! * With multiple shards the event interleaving across stripes differs
 //!   from the classic engine (each stripe has its own clock inside a
 //!   window), so results are deterministic and worker-invariant but not
@@ -48,29 +51,85 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::Rng;
-
-use dirca_mac::{DataPacket, DcfMac, Dot11Params, Frame, FrameKind, MacContext, TimerKind};
-use dirca_radio::{Channel, CoveragePlan, NodeId, RegionPartition, SignalId, Transceiver};
+use dirca_radio::{CoveragePlan, NodeId, RegionPartition};
 use dirca_sim::{
-    RunAborted, ShardCtx, ShardWorld, ShardedSimulation, SimDuration, SimTime, TimerGeneration,
-    Watchdog,
+    Outbox, RunAborted, ShardCtx, ShardWorld, ShardedSimulation, SimDuration, SimTime, Watchdog,
 };
 use dirca_topology::Topology;
 
-use crate::config::TrafficModel;
 use crate::result::{NodeReport, RunResult};
-use crate::world::{exp_interval, FaultVerdict, NetEvent, NetWorld, TraceEntry};
+use crate::world::{NetEvent, NetWorld, Sink, TraceEntry};
 use crate::SimConfig;
-
-#[cfg(feature = "trace")]
-use dirca_trace::{RecordKind, TraceRecord};
 
 /// Default shard count for partitioned runs: enough stripes to feed a
 /// small multicore without fragmenting the field, and fixed independently
 /// of the worker count so the byte stream never depends on the host.
 pub const DEFAULT_SHARDS: u32 = 4;
+
+/// What one shard does differently from the classic engine, handed to the
+/// world's event handler with each dispatch: it acts only for the nodes it
+/// owns, tags the signal ids it assigns with its index, and posts wave
+/// copies to the shards owning other receivers.
+pub(crate) struct Route<'a> {
+    shard: u32,
+    partition: &'a RegionPartition,
+    outbox: &'a mut Outbox<NetEvent>,
+    /// Transmit-time footprint buffer (the world's wave scratch is busy
+    /// during dispatch).
+    footprint: &'a mut Vec<NodeId>,
+}
+
+impl Route<'_> {
+    /// Whether this shard owns `node`.
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
+        self.partition.shard_of(node) == self.shard
+    }
+
+    /// The shard index in the top bits of every signal id the shard
+    /// assigns, so ids are globally unique without coordination. One
+    /// shard's tag is zero and its ids are exactly the classic engine's.
+    pub(crate) fn signal_tag(&self) -> u64 {
+        u64::from(self.shard) << 48
+    }
+
+    /// Posts the `edges` of a wave from `src` (aimed at `aim` when
+    /// `directional`) to every other shard owning a receiver in its
+    /// footprint. The footprint is a pure function of the static coverage
+    /// plan, so computing it at transmit time sees exactly the receivers
+    /// the wave handlers will walk; both edges land at `now + prop` or
+    /// later, which satisfies the engine's lookahead contract because
+    /// lookahead == prop.
+    pub(crate) fn post(
+        &mut self,
+        plan: &CoveragePlan,
+        src: NodeId,
+        aim: NodeId,
+        directional: bool,
+        edges: [(SimTime, &NetEvent); 2],
+    ) {
+        if self.partition.shards() == 1 {
+            return;
+        }
+        if directional {
+            plan.directional_coverage_into(src, aim, self.footprint);
+        } else {
+            self.footprint.clear();
+            self.footprint.extend_from_slice(plan.neighbors(src));
+        }
+        let mut mask: u64 = 0;
+        for &dst in self.footprint.iter() {
+            mask |= 1u64 << self.partition.shard_of(dst);
+        }
+        mask &= !(1u64 << self.shard);
+        for s in 0..self.partition.shards() {
+            if mask & (1u64 << s) != 0 {
+                for &(at, event) in &edges {
+                    self.outbox.send(s, at, event.clone());
+                }
+            }
+        }
+    }
+}
 
 /// One shard of the partitioned network: a full [`NetWorld`] replica of
 /// which only the owned stripe's node state is ever touched.
@@ -83,501 +142,56 @@ pub const DEFAULT_SHARDS: u32 = 4;
 /// node `i` to `s`, which keeps each node's RNG stream consumption
 /// identical to the classic sequential engine.
 #[derive(Debug)]
-pub struct ShardNetWorld {
+struct Shard {
     world: NetWorld,
-    shard: u32,
+    index: u32,
     partition: Arc<RegionPartition>,
-    /// Transmit-time footprint buffer (separate from the world's wave
-    /// scratch, which is busy during event dispatch).
-    tx_scratch: Vec<NodeId>,
+    footprint: Vec<NodeId>,
 }
 
-impl ShardNetWorld {
-    /// This shard's index.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Read access to the underlying world replica.
-    pub fn net(&self) -> &NetWorld {
-        &self.world
-    }
-
-    /// Mutable access to the underlying world replica (trace and recorder
-    /// attachment; node state belonging to other shards must not be
-    /// touched).
-    pub fn net_mut(&mut self) -> &mut NetWorld {
-        &mut self.world
-    }
-
-    /// Whether this shard owns `node`.
-    fn owns(&self, node: NodeId) -> bool {
-        self.partition.shard_of(node) == self.shard
-    }
-
-    /// Seeds initial traffic for the owned stripe, mirroring
-    /// [`NetWorld::prime`] restricted to owned nodes. With one shard this
-    /// is exactly the classic priming loop.
-    pub fn prime(&mut self, ctx: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: per-node vectors are all sized to the node count at
-        // build time, and the partition covers exactly the built nodes.
-        ctx.sched.reserve(self.world.expected_events);
-        match self.world.traffic {
-            TrafficModel::Saturated => {
-                for i in 0..self.world.macs.len() {
-                    if self.owns(NodeId(i)) {
-                        self.refill(NodeId(i), ctx);
-                    }
-                }
-            }
-            TrafficModel::Poisson {
-                packets_per_sec, ..
-            } => {
-                for i in 0..self.world.macs.len() {
-                    if self.owns(NodeId(i)) && !self.world.neighbors[i].is_empty() {
-                        let dt = exp_interval(&mut self.world.rngs[i], packets_per_sec);
-                        ctx.sched
-                            .schedule_in(dt, NetEvent::Arrival { node: NodeId(i) });
-                    }
-                }
-            }
-            TrafficModel::Manual => {}
-        }
-    }
-
-    /// Dispatches a MAC callback for an owned `node` with a fully wired
-    /// sharded context — the sharded twin of `NetWorld::with_mac`.
-    fn with_mac(
-        &mut self,
-        node: NodeId,
-        sim: &mut ShardCtx<'_, NetEvent>,
-        f: impl FnOnce(&mut DcfMac, &mut SCtx<'_, '_>),
-    ) {
-        debug_assert!(self.owns(node), "MAC dispatch for a foreign node");
-        // panic-path: per-node vectors are sized to the node count at build
-        // time and `node` comes from the event stream / partition walk.
-        let muted = match &self.world.faults {
-            Some(f) => f.compiled.in_outage(node, sim.sched.now()),
-            None => false,
+impl Shard {
+    /// The replica and the sink its events go to: `ctx`'s queue plus this
+    /// shard's route.
+    fn split<'a>(
+        &'a mut self,
+        ctx: &'a mut ShardCtx<'_, NetEvent>,
+    ) -> (&'a mut NetWorld, Sink<'a>) {
+        let Shard {
+            world,
+            index,
+            partition,
+            footprint,
+        } = self;
+        let route = Route {
+            shard: *index,
+            partition,
+            outbox: ctx.outbox,
+            footprint,
         };
-        let NetWorld {
-            channel,
-            plan,
-            macs,
-            phys,
-            rngs,
-            app,
-            params,
-            next_signal,
-            trace,
-            #[cfg(feature = "trace")]
-            recorder,
-            record_delays,
-            ..
-        } = &mut self.world;
-        let mut ctx = SCtx {
-            node,
-            sim,
-            phy: &mut phys[node.0],
-            channel,
-            plan,
-            params,
-            rng: &mut rngs[node.0],
-            next_signal,
-            app: &mut app[node.0],
-            trace,
-            #[cfg(feature = "trace")]
-            recorder,
-            record_delays: *record_delays,
-            muted,
-            shard: self.shard,
-            partition: &self.partition,
-            tx_scratch: &mut self.tx_scratch,
-        };
-        f(&mut macs[node.0], &mut ctx);
-    }
-
-    /// Keeps an owned saturated node backlogged — the sharded twin of
-    /// `NetWorld::refill`, consuming the same per-node RNG draws.
-    fn refill(&mut self, node: NodeId, sim: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: per-node vectors are sized to the node count at build.
-        if self.world.traffic != TrafficModel::Saturated || self.world.macs[node.0].has_backlog() {
-            return;
-        }
-        if self.world.neighbors[node.0].is_empty() {
-            return; // isolated node: nothing to send to
-        }
-        let dst = self.world.pick_neighbor(node);
-        let seq = self.world.app[node.0].next_seq;
-        self.world.app[node.0].next_seq += 1;
-        let bytes = self.world.data_bytes;
-        let now = sim.sched.now();
-        self.with_mac(node, sim, |mac, ctx| {
-            mac.enqueue(DataPacket::new(seq, node, dst, bytes, now), ctx);
-        });
-    }
-
-    /// One Poisson arrival at an owned node — the sharded twin of
-    /// `NetWorld::poisson_arrival`.
-    fn poisson_arrival(&mut self, node: NodeId, sim: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: per-node vectors are sized to the node count at build.
-        let TrafficModel::Poisson {
-            packets_per_sec,
-            max_queue,
-        } = self.world.traffic
-        else {
-            return; // stale event after a model change; ignore
-        };
-        if !self.world.neighbors[node.0].is_empty() {
-            if self.world.macs[node.0].queue_len() < max_queue {
-                let dst = self.world.pick_neighbor(node);
-                let seq = self.world.app[node.0].next_seq;
-                self.world.app[node.0].next_seq += 1;
-                let bytes = self.world.data_bytes;
-                let now = sim.sched.now();
-                self.with_mac(node, sim, |mac, ctx| {
-                    mac.enqueue(DataPacket::new(seq, node, dst, bytes, now), ctx);
-                });
-            } else {
-                self.world.app[node.0].queue_drops += 1;
-            }
-            let dt = exp_interval(&mut self.world.rngs[node.0], packets_per_sec);
-            sim.sched.schedule_in(dt, NetEvent::Arrival { node });
-        }
+        (
+            world,
+            Sink {
+                sched: ctx.sched,
+                route: Some(route),
+            },
+        )
     }
 }
 
-impl ShardWorld for ShardNetWorld {
+impl ShardWorld for Shard {
     type Event = NetEvent;
 
     fn handle(&mut self, now: SimTime, event: NetEvent, ctx: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: events only carry node ids the world itself built, and
-        // every per-node vector is sized to the node count. Wave events can
-        // arrive from foreign shards; their target walk filters to owned
-        // receivers. TxEnd/MacTimer/Arrival are only ever scheduled locally
-        // for owned nodes.
-        match event {
-            NetEvent::WaveStart {
-                src,
-                id,
-                frame,
-                directional,
-            } => {
-                let end = now + self.world.params.frame_airtime(&frame);
-                let mut wave = std::mem::take(&mut self.world.scratch);
-                self.world
-                    .fill_wave_targets(src, frame.dst, directional, &mut wave);
-                for &dst in &wave {
-                    if !self.owns(dst) {
-                        continue; // the owner shard handles its own copy
-                    }
-                    let (heading, distance) = self.world.plan.arrival_geometry(dst, src);
-                    let became_busy =
-                        self.world.phys[dst.0].signal_arrives_at(id, heading, distance, end);
-                    if became_busy {
-                        self.with_mac(dst, ctx, |mac, mctx| mac.on_medium_busy(mctx));
-                    }
-                }
-                self.world.scratch = wave;
-            }
-            NetEvent::WaveEnd {
-                src,
-                id,
-                frame,
-                directional,
-            } => {
-                let mut wave = std::mem::take(&mut self.world.scratch);
-                self.world
-                    .fill_wave_targets(src, frame.dst, directional, &mut wave);
-                for &dst in &wave {
-                    if !self.owns(dst) {
-                        continue; // the owner shard handles its own copy
-                    }
-                    let report = self.world.phys[dst.0].signal_ends(id);
-                    if report.delivered {
-                        match self.world.fault_verdict(src, dst, &frame, now) {
-                            FaultVerdict::Deliver => {
-                                #[cfg(feature = "trace")]
-                                self.world.record(
-                                    now,
-                                    dst,
-                                    if frame.dst == dst {
-                                        RecordKind::FrameRx {
-                                            kind: frame.kind,
-                                            peer: frame.src,
-                                        }
-                                    } else {
-                                        RecordKind::NavSet {
-                                            until: now + frame.duration,
-                                        }
-                                    },
-                                );
-                                self.with_mac(dst, ctx, |mac, mctx| {
-                                    mac.on_frame_received(frame, mctx);
-                                });
-                            }
-                            FaultVerdict::Corrupt => {
-                                #[cfg(feature = "trace")]
-                                self.world.record(now, dst, RecordKind::FaultCorrupt);
-                                self.world.app[dst.0].fer_losses += 1;
-                                self.with_mac(dst, ctx, |mac, mctx| mac.on_rx_corrupted(mctx));
-                            }
-                            FaultVerdict::Outage => {
-                                #[cfg(feature = "trace")]
-                                self.world.record(now, dst, RecordKind::FaultOutage);
-                                self.world.app[dst.0].outage_losses += 1;
-                            }
-                        }
-                    } else if report.corrupted {
-                        #[cfg(feature = "trace")]
-                        self.world.record(now, dst, RecordKind::RxCorrupted);
-                        self.with_mac(dst, ctx, |mac, mctx| mac.on_rx_corrupted(mctx));
-                    }
-                    if report.medium_idle_after {
-                        self.with_mac(dst, ctx, |mac, mctx| mac.on_medium_idle(mctx));
-                    }
-                    self.refill(dst, ctx);
-                }
-                self.world.scratch = wave;
-            }
-            NetEvent::TxEnd { node } => {
-                self.world.phys[node.0].end_transmit();
-                self.with_mac(node, ctx, |mac, mctx| mac.on_tx_done(mctx));
-                self.refill(node, ctx);
-            }
-            NetEvent::MacTimer { node, kind, gen } => {
-                if self.world.macs[node.0].is_timer_live(kind, gen) {
-                    #[cfg(feature = "trace")]
-                    match kind {
-                        TimerKind::CtsTimeout | TimerKind::DataTimeout | TimerKind::AckTimeout => {
-                            self.world
-                                .record(now, node, RecordKind::Timeout { timer: kind });
-                        }
-                        TimerKind::NavExpire => {
-                            self.world.record(now, node, RecordKind::NavExpire);
-                        }
-                        TimerKind::Backoff | TimerKind::Sifs => {}
-                    }
-                    self.with_mac(node, ctx, |mac, mctx| mac.on_timer(kind, gen, mctx));
-                    self.refill(node, ctx);
-                }
-            }
-            NetEvent::Arrival { node } => {
-                self.poisson_arrival(node, ctx);
-            }
-            // panic-path: ShardedNetSim::build rejects mobility configs,
-            // and MobilityEpoch is only ever scheduled under one.
-            NetEvent::MobilityEpoch => {
-                unreachable!("mobility epochs cannot occur in a sharded run")
-            }
-        }
+        let (world, mut out) = self.split(ctx);
+        world.dispatch(now, event, &mut out);
     }
 }
 
-/// The [`MacContext`] of the sharded engine: the classic `Ctx` plus the
-/// cross-shard wave routing performed at transmit time.
-struct SCtx<'a, 'b> {
-    node: NodeId,
-    sim: &'a mut ShardCtx<'b, NetEvent>,
-    phy: &'a mut Transceiver,
-    channel: &'a Channel,
-    plan: &'a CoveragePlan,
-    params: &'a Dot11Params,
-    rng: &'a mut SmallRng,
-    next_signal: &'a mut u64,
-    app: &'a mut crate::world::AppStats,
-    trace: &'a mut Option<Vec<TraceEntry>>,
-    #[cfg(feature = "trace")]
-    recorder: &'a mut Option<dirca_trace::RingTrace>,
-    record_delays: bool,
-    muted: bool,
-    shard: u32,
-    partition: &'a RegionPartition,
-    tx_scratch: &'a mut Vec<NodeId>,
-}
-
-impl SCtx<'_, '_> {
-    /// Pushes one record attributed to this context's node.
-    #[cfg(feature = "trace")]
-    fn record(&mut self, kind: RecordKind) {
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.push(TraceRecord {
-                time: self.sim.sched.now(),
-                node: self.node,
-                kind,
-            });
-        }
-    }
-}
-
-impl MacContext for SCtx<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.sim.sched.now()
-    }
-
-    fn carrier_busy(&self) -> bool {
-        self.phy.carrier_busy()
-    }
-
-    fn transmit(&mut self, frame: Frame, directional: bool) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEntry {
-                time: self.sim.sched.now(),
-                frame,
-                directional,
-            });
-        }
-        #[cfg(feature = "trace")]
-        self.record(RecordKind::FrameTx {
-            kind: frame.kind,
-            peer: frame.dst,
-            bytes: frame.payload_bytes,
-            directional,
-        });
-        let duration = self.params.frame_airtime(&frame);
-        match frame.kind {
-            FrameKind::Rts => self.app.airtime.rts += duration,
-            FrameKind::Cts => self.app.airtime.cts += duration,
-            FrameKind::Data => self.app.airtime.data += duration,
-            FrameKind::Ack => self.app.airtime.ack += duration,
-        }
-        self.phy.begin_transmit();
-        self.sim
-            .sched
-            .schedule_in(duration, NetEvent::TxEnd { node: self.node });
-
-        if self.muted {
-            // Out-of-service radio: the MAC went through the motions but no
-            // wave reaches any receiver (same contract as the classic path).
-            return;
-        }
-
-        // Tag the per-shard signal counter with the shard index so ids are
-        // globally unique without coordination. With one shard the tag is
-        // zero and the sequence is exactly the classic engine's.
-        let id = SignalId((u64::from(self.shard) << 48) | *self.next_signal);
-        *self.next_signal += 1;
-        let prop = self.channel.propagation_delay();
-        // The own-shard wave copy is always scheduled locally — with one
-        // shard this is the whole story and reproduces the classic engine
-        // byte for byte.
-        self.sim.sched.schedule_in(
-            prop,
-            NetEvent::WaveStart {
-                src: self.node,
-                id,
-                frame,
-                directional,
-            },
-        );
-        self.sim.sched.schedule_in(
-            duration + prop,
-            NetEvent::WaveEnd {
-                src: self.node,
-                id,
-                frame,
-                directional,
-            },
-        );
-
-        if self.partition.shards() > 1 {
-            // The footprint is a pure function of the static coverage plan,
-            // so computing it at transmit time (rather than dispatch time)
-            // sees exactly the receivers the wave handlers will walk. Route
-            // one copy to every foreign shard owning a covered receiver;
-            // both edges land at `now + prop` or later, which satisfies the
-            // engine's lookahead contract because lookahead == prop.
-            if !directional {
-                self.tx_scratch.clear();
-                self.tx_scratch
-                    .extend_from_slice(self.plan.neighbors(self.node));
-            } else {
-                self.plan
-                    .directional_coverage_into(self.node, frame.dst, self.tx_scratch);
-            }
-            let mut mask: u64 = 0;
-            for &dst in self.tx_scratch.iter() {
-                mask |= 1u64 << self.partition.shard_of(dst);
-            }
-            mask &= !(1u64 << self.shard);
-            let now = self.sim.sched.now();
-            for s in 0..self.partition.shards() {
-                if mask & (1u64 << s) != 0 {
-                    self.sim.outbox.send(
-                        s,
-                        now + prop,
-                        NetEvent::WaveStart {
-                            src: self.node,
-                            id,
-                            frame,
-                            directional,
-                        },
-                    );
-                    self.sim.outbox.send(
-                        s,
-                        now + duration + prop,
-                        NetEvent::WaveEnd {
-                            src: self.node,
-                            id,
-                            frame,
-                            directional,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn schedule_timer(&mut self, kind: TimerKind, gen: TimerGeneration, delay: SimDuration) {
-        self.sim.sched.schedule_in(
-            delay,
-            NetEvent::MacTimer {
-                node: self.node,
-                kind,
-                gen,
-            },
-        );
-    }
-
-    fn draw_backoff_slots(&mut self, cw: u32) -> u32 {
-        let slots = self.rng.random_range(0..=cw);
-        #[cfg(feature = "trace")]
-        self.record(RecordKind::BackoffDraw { cw, slots });
-        slots
-    }
-
-    fn deliver(&mut self, _frame: &Frame) {
-        self.app.delivered += 1;
-    }
-
-    fn packet_done(&mut self, packet: DataPacket, success: bool) {
-        #[cfg(feature = "trace")]
-        self.record(if success {
-            RecordKind::PacketAcked
-        } else {
-            RecordKind::PacketDropped
-        });
-        if success {
-            self.app.completed += 1;
-            if self.record_delays {
-                let delay = self
-                    .sim
-                    .sched
-                    .now()
-                    .saturating_duration_since(packet.created);
-                self.app.delay_samples.push(delay.as_secs_f64());
-            }
-        } else {
-            self.app.dropped += 1;
-        }
-    }
-}
-
-/// A partitioned network simulation: [`ShardNetWorld`]s over the
+/// A partitioned network simulation: [`NetWorld`] replicas over the
 /// conservative-window engine, plus the build/prime/collect plumbing that
 /// mirrors the classic [`crate::run`] lifecycle.
 pub struct ShardedNetSim {
-    sim: ShardedSimulation<ShardNetWorld>,
+    sim: ShardedSimulation<Shard>,
     partition: Arc<RegionPartition>,
 }
 
@@ -620,11 +234,11 @@ impl ShardedNetSim {
         let shard_worlds = worlds
             .into_iter()
             .enumerate()
-            .map(|(s, world)| ShardNetWorld {
+            .map(|(s, world)| Shard {
                 world,
-                shard: s as u32,
+                index: s as u32,
                 partition: Arc::clone(&partition),
-                tx_scratch: Vec::with_capacity(n),
+                footprint: Vec::with_capacity(n),
             })
             .collect();
         ShardedNetSim {
@@ -654,7 +268,7 @@ impl ShardedNetSim {
     ///
     /// Panics if `shard` is out of range.
     pub fn net_world(&self, shard: usize) -> &NetWorld {
-        self.sim.world(shard).net()
+        &self.sim.world(shard).world
     }
 
     /// Mutable access to shard `shard`'s world replica (for trace and
@@ -664,22 +278,23 @@ impl ShardedNetSim {
     ///
     /// Panics if `shard` is out of range.
     pub fn net_world_mut(&mut self, shard: usize) -> &mut NetWorld {
-        self.sim.world_mut(shard).net_mut()
+        &mut self.sim.world_mut(shard).world
     }
 
     /// Seeds initial traffic on every shard (each primes its owned
     /// stripe).
     pub fn prime(&mut self) {
         for s in 0..self.sim.shard_count() {
-            let (world, mut ctx) = self.sim.shard_parts_mut(s);
-            world.prime(&mut ctx);
+            let (shard, mut ctx) = self.sim.shard_parts_mut(s);
+            let (world, mut out) = shard.split(&mut ctx);
+            world.prime_into(&mut out);
         }
     }
 
     /// Starts transmission tracing on every shard.
     pub fn enable_trace(&mut self) {
-        for world in self.sim.worlds_mut() {
-            world.net_mut().enable_trace();
+        for shard in self.sim.worlds_mut() {
+            shard.world.enable_trace();
         }
     }
 
@@ -689,8 +304,8 @@ impl ShardedNetSim {
     /// `None` unless tracing was enabled on every shard.
     pub fn merged_trace(&self) -> Option<Vec<TraceEntry>> {
         let mut merged: Vec<TraceEntry> = Vec::new();
-        for world in self.sim.worlds() {
-            merged.extend_from_slice(world.net().trace()?);
+        for shard in self.sim.worlds() {
+            merged.extend_from_slice(shard.world.trace()?);
         }
         merged.sort_by_key(|entry| entry.time);
         Some(merged)
@@ -703,8 +318,8 @@ impl ShardedNetSim {
 
     /// Zeroes MAC counters and app stats on every shard (end of warm-up).
     pub fn reset_counters(&mut self) {
-        for world in self.sim.worlds_mut() {
-            world.net_mut().reset_counters();
+        for shard in self.sim.worlds_mut() {
+            shard.world.reset_counters();
         }
     }
 
@@ -738,11 +353,11 @@ impl ShardedNetSim {
     pub fn into_result(self, window: SimDuration) -> RunResult {
         let events = self.sim.events_processed();
         let partition = self.partition;
-        let worlds = self.sim.into_worlds();
-        let measured = worlds
+        let shards = self.sim.into_worlds();
+        let measured = shards
             .first()
             .expect("a sharded simulation always has ≥ 1 shard")
-            .net()
+            .world
             .measured();
         let n = partition.len();
         let nodes = (0..n)
@@ -750,7 +365,7 @@ impl ShardedNetSim {
                 // panic-path: the partition maps every built node to a valid
                 // shard index, and each replica holds all n node slots.
                 let owner = partition.shard_of(NodeId(i)) as usize;
-                let world = worlds[owner].net();
+                let world = &shards[owner].world;
                 let mac = &world.macs()[i];
                 let app = &world.app_stats()[i];
                 NodeReport {
@@ -770,7 +385,7 @@ impl ShardedNetSim {
     }
 }
 
-/// The sharded twin of [`crate::run`]: builds a partitioned simulation
+/// [`crate::run`] on the sharded engine: builds a partitioned simulation
 /// with `shards` stripes, runs warm-up and measurement on `workers`
 /// threads, and collects the merged results.
 ///

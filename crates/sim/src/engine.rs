@@ -94,15 +94,17 @@ pub trait World {
 }
 
 /// Schedules future events; passed to [`World::handle`] and available from
-/// the [`Simulation`] for priming initial events.
+/// the [`Simulation`] for priming initial events. The sharded engine keeps
+/// one per shard and hands it to [`crate::ShardWorld::handle`].
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    queue: EventQueue<E>,
-    now: SimTime,
+    pub(crate) queue: EventQueue<E>,
+    pub(crate) now: SimTime,
 }
 
 impl<E> Scheduler<E> {
-    fn new() -> Self {
+    /// An empty scheduler at time zero.
+    pub(crate) fn new() -> Self {
         Scheduler {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
